@@ -19,6 +19,7 @@ from .hypergraph import (
 )
 from .embed import (
     Embedding,
+    check_free,
     contains,
     is_free,
     spanned_edge_threshold_free,

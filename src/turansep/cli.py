@@ -7,8 +7,9 @@ report; 2 invalid input; 3 search budget exhausted.
 
 Family arguments accept ``K:l,k`` (complete), ``K-:l,k`` (complete minus
 an edge), ``D:t,k`` (daisy), ``S6``, or a path to a hypergraph file.
-Reports are byte-identical for equal inputs, seed and version regardless
-of --threads; timing is only emitted under --timing.
+Reports are byte-identical for equal inputs, seed and version; --threads
+is accepted for compatibility and has no effect; timing is only emitted
+under --timing.
 """
 
 from __future__ import annotations
@@ -47,7 +48,11 @@ def parse_family_token(token: str) -> tuple[FamilySpec | None, Hypergraph]:
     path = Path(token)
     if not path.exists():
         raise ParameterError(f"{token!r} is neither a family token nor a file")
-    return None, parse(path.read_text())
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {token!r}: {exc}") from None
+    return None, parse(text)
 
 
 def _fmt(value):
@@ -145,30 +150,17 @@ def cmd_contains(args):
 def cmd_free_check(args):
     _, h = parse_family_token(args.host)
     spec, f = parse_family_token(args.target)
-    if h.k != f.k:
-        raise ParameterError(
-            f"uniformity mismatch: host has k={h.k}, target has k={f.k}")
-    payload = {"command": "free-check", "version": __version__}
+    method, violation = embed.check_free(h, f, spec)
+    payload = {"command": "free-check", "version": __version__,
+               "method": method, "free": violation is None}
     payload.update(_graph_summary("host", h, args.host))
     payload.update(_graph_summary("target", f, args.target))
-    params = embed.threshold_free_params(spec) if spec else None
-    if params and f.n <= h.n:
-        r, max_edges = params
-        payload["method"] = "subset-scan"
-        violation = embed.spanned_edge_violation(
-            h, r, max_edges, threads=args.threads)
-        free = violation is None
-        if violation is not None:
-            subset, count = violation
-            payload["violation"] = {"subset": list(subset), "spanned": count}
-    else:
-        payload["method"] = "embedding-search"
-        emb = embed.contains(h, f)
-        free = emb is None
-        if emb is not None:
-            payload["violation"] = {"embedding": list(emb.mapping)}
-    payload["free"] = free
-    return payload, 0 if free else 1, None
+    if isinstance(violation, embed.Embedding):
+        payload["violation"] = {"embedding": list(violation.mapping)}
+    elif violation is not None:
+        subset, count = violation
+        payload["violation"] = {"subset": list(subset), "spanned": count}
+    return payload, 0 if violation is None else 1, None
 
 
 def cmd_turan(args):
@@ -255,7 +247,7 @@ def cmd_construct(args):
         if not args.params:
             raise ParameterError("blowup needs a base family and part sizes")
         _, base = parse_family_token(args.params[0])
-        sizes = tuple(int(x) for x in args.params[1:])
+        sizes = tuple(_int(x) for x in args.params[1:])
         h = constructions.blowup(constructions.BlowupSpec(base, sizes))
     elif args.builder == "augment":
         if not args.params:
@@ -272,13 +264,21 @@ def cmd_construct(args):
 def _one_int(args, name) -> int:
     if len(args.params) != 1:
         raise ParameterError(f"builder expects a single integer {name}")
-    return int(args.params[0])
+    return _int(args.params[0])
 
 
 def _ints(args, count) -> list[int]:
     if len(args.params) != count:
         raise ParameterError(f"builder expects {count} integers")
-    return [int(x) for x in args.params]
+    return [_int(x) for x in args.params]
+
+
+def _int(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParameterError(
+            f"builder parameters must be integers, got {token!r}") from None
 
 
 def cmd_densopt(args):
@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--seed", type=int, default=None,
                         help="random seed (default: TURANSEP_SEED or 0)")
     shared.add_argument("--threads", type=int, default=1,
-                        help="worker threads for subset scans")
+                        help="accepted for compatibility; has no effect")
     shared.add_argument("--budget", type=int, default=exact.DEFAULT_BUDGET,
                         help="node budget for exact searches")
     shared.add_argument("--timing", action="store_true",

@@ -3,19 +3,24 @@
 A copy of F in H is an injective, edge-preserving vertex map (ordinary
 subgraph containment, not induced).  ``contains`` returns the first
 embedding in a fixed search order, so results are deterministic.
+
+The r-subset scan has one code path for every uniformity k.  It walks
+the (r-1)-subset prefixes in lex order and reads ``Hypergraph.links``,
+the bitmask of vertices completing each (k-1)-set to an edge: the edges
+inside a prefix come from popcounts of its (k-1)-subsets' links, and a
+small at-least-j pass over the link masks above the prefix finds the
+lowest last vertex that pushes the count over the threshold.
+``check_free`` picks between that scan and the embedding search.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .errors import ParameterError
 from .hypergraph import FamilySpec, Hypergraph
-
-_SCAN_CHUNK = 4  # first-vertex slice width per worker task
 
 
 @dataclass(frozen=True)
@@ -84,108 +89,77 @@ def contains(h: Hypergraph, f: Hypergraph) -> Embedding | None:
     return None
 
 
-def is_free(h: Hypergraph, f: Hypergraph) -> bool:
+def check_free(
+    h: Hypergraph, f: Hypergraph, spec: FamilySpec | None = None
+) -> tuple[str, tuple[tuple[int, ...], int] | Embedding | None]:
+    """Decide F-freeness of H; returns (method, violation).
+
+    When spec names a family with threshold parameters (see
+    threshold_free_params) and F fits in H, the method is ``subset-scan``
+    and a violation is the lex-first (subset, spanned count).  Otherwise
+    the method is ``embedding-search`` and a violation is the first
+    Embedding.  The violation is None exactly when H is F-free.  spec,
+    when given, must describe F.
+    """
+    if h.k != f.k:
+        raise ParameterError(
+            f"uniformity mismatch: host has k={h.k}, target has k={f.k}")
+    params = threshold_free_params(spec) if spec else None
+    if params and f.n <= h.n:
+        return "subset-scan", spanned_edge_violation(h, *params)
+    return "embedding-search", contains(h, f)
+
+
+def is_free(h: Hypergraph, f: Hypergraph, spec: FamilySpec | None = None) -> bool:
     """True iff H contains no copy of F."""
-    return contains(h, f) is None
+    return check_free(h, f, spec)[1] is None
 
 
 def spanned_edge_violation(
-    h: Hypergraph, r: int, max_edges: int, threads: int = 1
+    h: Hypergraph, r: int, max_edges: int
 ) -> tuple[tuple[int, ...], int] | None:
     """First r-subset (lexicographically) spanning more than max_edges edges.
 
     Returns (subset, spanned count) or None when every r-subset passes.
-    The scan may be partitioned across threads; the reported violation is
-    the lexicographic first regardless of schedule.
     """
     if not h.k <= r <= h.n:
         raise ParameterError(f"need k <= r <= n, got k={h.k}, r={r}, n={h.n}")
-    if threads <= 1:
-        return _scan_slice(h, r, max_edges, range(h.n - r + 1))
-    firsts = range(h.n - r + 1)
-    slices = [firsts[i:i + _SCAN_CHUNK] for i in range(0, len(firsts), _SCAN_CHUNK)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = pool.map(lambda sl: _scan_slice(h, r, max_edges, sl), slices)
-        for res in results:  # slices are in lexicographic order already
-            if res is not None:
-                return res
+    k, links, full = h.k, h.links, (1 << h.n) - 1
+    # subsets are prefix + (v,) with v > max(prefix), in lex order
+    for prefix in combinations(range(h.n - 1), r - 1):
+        pmask = 0
+        for u in prefix:
+            pmask |= 1 << u
+        above = full >> (prefix[-1] + 1) << (prefix[-1] + 1)
+        inside = 0
+        masks = []  # per (k-1)-subset of prefix: the v that complete it
+        for t in combinations(prefix, k - 1):
+            link = links.get(t, 0)
+            inside += (link & pmask).bit_count()
+            if link & above:
+                masks.append(link & above)
+        count = inside // k  # each edge inside the prefix is seen k times
+        need = max(max_edges - count + 1, 0)
+        if need > len(masks):
+            continue
+        # hits[j]: the v above the prefix that lie in at least j masks
+        hits = [above] + [0] * need
+        for i, m in enumerate(masks):
+            for j in range(min(i + 1, need), 0, -1):
+                hits[j] |= hits[j - 1] & m
+        if hits[need]:
+            v = (hits[need] & -hits[need]).bit_length() - 1
+            return prefix + (v,), count + sum(m >> v & 1 for m in masks)
     return None
 
 
-def spanned_edge_threshold_free(
-    h: Hypergraph, r: int, max_edges: int, threads: int = 1
-) -> bool:
+def spanned_edge_threshold_free(h: Hypergraph, r: int, max_edges: int) -> bool:
     """True iff every r-subset of V(H) spans at most max_edges edges.
 
     With (k, r, max_edges) = (3, 5, 8) this is exactly freeness from the
     complete 3-graph on five vertices minus one edge.
     """
-    return spanned_edge_violation(h, r, max_edges, threads=threads) is None
-
-
-def _scan_slice(h, r, max_edges, firsts):
-    if h.k == 3:
-        return _scan_slice_k3(h, r, max_edges, firsts)
-    return _scan_slice_generic(h, r, max_edges, firsts)
-
-
-def _scan_slice_k3(h, r, max_edges, firsts):
-    n = h.n
-    # pair_top[u*n+v] for u<v: bitmask of w>v with {u,v,w} an edge, so each
-    # edge inside a subset is counted exactly once via its smallest pair
-    pair_top = [0] * (n * n)
-    for a, b, c in h.edges:
-        pair_top[a * n + b] |= 1 << c
-    bit = [1 << v for v in range(n)]
-    for first in firsts:
-        base = bit[first]
-        row = first * n
-        for rest in combinations(range(first + 1, n), r - 1):
-            smask = base
-            for v in rest:
-                smask |= bit[v]
-            count = 0
-            for u in rest:
-                count += (pair_top[row + u] & smask).bit_count()
-            if count <= max_edges:
-                for i, u in enumerate(rest):
-                    urow = u * n
-                    for v in rest[i + 1:]:
-                        count += (pair_top[urow + v] & smask).bit_count()
-                    if count > max_edges:
-                        break
-            if count > max_edges:
-                return (first,) + rest, _count_inside(h, (first,) + rest)
-    return None
-
-
-def _scan_slice_generic(h, r, max_edges, firsts):
-    n = h.n
-    by_max = [[] for _ in range(n)]
-    for e, em in zip(h.edges, h.edge_masks):
-        by_max[e[-1]].append(em)
-    bit = [1 << v for v in range(n)]
-    for first in firsts:
-        for rest in combinations(range(first + 1, n), r - 1):
-            subset = (first,) + rest
-            smask = bit[first]
-            for v in rest:
-                smask |= bit[v]
-            count = 0
-            for v in subset:
-                for em in by_max[v]:
-                    if em & smask == em:
-                        count += 1
-            if count > max_edges:
-                return subset, count
-    return None
-
-
-def _count_inside(h: Hypergraph, subset: tuple[int, ...]) -> int:
-    smask = 0
-    for v in subset:
-        smask |= 1 << v
-    return sum(1 for em in h.edge_masks if em & smask == em)
+    return spanned_edge_violation(h, r, max_edges) is None
 
 
 def threshold_free_params(spec: FamilySpec) -> tuple[int, int] | None:

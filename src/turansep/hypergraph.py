@@ -75,6 +75,17 @@ class Hypergraph:
         return tuple(_mask(e) for e in self.edges)
 
     @cached_property
+    def links(self) -> dict[tuple[int, ...], int]:
+        """Each (k-1)-set lying in an edge, as a sorted tuple, mapped to the
+        bitmask of the vertices that complete it to an edge.  Read-only."""
+        links: dict[tuple[int, ...], int] = {}
+        for e in self.edges:
+            for i, v in enumerate(e):
+                t = e[:i] + e[i + 1:]
+                links[t] = links.get(t, 0) | 1 << v
+        return links
+
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
         degs = [0] * self.n
         for e in self.edges:

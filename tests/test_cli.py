@@ -58,7 +58,7 @@ def test_contains_exit_codes(capsys):
     assert code == 1
 
 
-def test_free_check_exit_codes(capsys):
+def test_free_check_exit_codes(tmp_path, capsys):
     code, out = invoke(capsys, "free-check", "S6", "K:4,3")
     assert code == 0 and "free: True" in out
     code, out = invoke(capsys, "free-check", "K:5,3", "K:4,3", "--json")
@@ -66,6 +66,14 @@ def test_free_check_exit_codes(capsys):
     payload = json.loads(out)
     assert payload["method"] == "subset-scan"
     assert payload["violation"]["subset"] == [0, 1, 2, 3]
+    # the same target as a file carries no family spec: search, same verdicts
+    k4_file = tmp_path / "k4.hg"
+    k4_file.write_text(serialize(build_named(FamilySpec.complete(4, 3))))
+    code, out = invoke(capsys, "free-check", "S6", str(k4_file))
+    assert code == 0 and "method: embedding-search" in out
+    code, out = invoke(capsys, "free-check", "K:5,3", str(k4_file), "--json")
+    assert code == 1
+    assert json.loads(out)["violation"] == {"embedding": [0, 1, 2, 3]}
 
 
 def test_free_check_embedding_path(capsys):
@@ -174,11 +182,23 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     assert with_env == with_flag
 
 
-def test_invalid_inputs_exit_2(capsys):
-    assert invoke(capsys, "build", "K:3,3")[0] == 2
-    assert invoke(capsys, "turan", "5", "missing.hg")[0] == 2
-    assert invoke(capsys, "condition2", "K:4,3", "K:5,3")[0] == 2
-    assert invoke(capsys, "free-check", "K:6,4", "K:5,3")[0] == 2
+def test_invalid_inputs_exit_2(tmp_path, capsys):
+    binary = tmp_path / "binary.hg"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for argv in (
+        ["build", "K:3,3"],
+        ["turan", "5", "missing.hg"],
+        ["condition2", "K:4,3", "K:5,3"],
+        ["free-check", "K:6,4", "K:5,3"],
+        ["construct", "s6star", "abc"],
+        ["construct", "blowup", "S6", "2", "2", "x"],
+        ["build", str(tmp_path)],
+        ["free-check", "S6", str(tmp_path)],
+        ["build", str(binary)],
+    ):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_free_check_six_part_file(tmp_path, capsys):

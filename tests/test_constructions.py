@@ -224,8 +224,9 @@ def test_augment_added_edges_disjoint():
 
 
 def test_augment_rejects_non_k4_free():
-    with pytest.raises(ParameterError):
-        augment_matching(K(5, 3))
+    for host in (K(5, 3), K(4, 3)):
+        with pytest.raises(ParameterError):
+            augment_matching(host)
     with pytest.raises(ParameterError):
         augment_matching(build_named(FamilySpec.complete(5, 4)))
 

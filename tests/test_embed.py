@@ -4,8 +4,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from turansep.embed import (
+    check_free,
     contains,
     is_free,
     spanned_edge_threshold_free,
@@ -52,11 +54,17 @@ def test_is_free_examples():
     assert is_free(S6, Km(4, 3))
     assert not is_free(K(5, 3), K(4, 3))
     assert is_free(Hypergraph(3, 6, ()), S6)
+    # the target does not fit in the host, so no scan is possible
+    tight = Hypergraph(3, 3, ((0, 1, 2),))
+    k4 = FamilySpec.complete(4, 3)
+    assert check_free(tight, K(4, 3), k4) == ("embedding-search", None)
 
 
 def test_uniformity_mismatch():
     with pytest.raises(ParameterError):
         contains(K(5, 3), K(5, 4))
+    with pytest.raises(ParameterError):
+        check_free(K(5, 3), K(5, 4), FamilySpec.complete(5, 4))
 
 
 def test_embedding_maps_isolated_vertices():
@@ -116,20 +124,46 @@ def test_freeness_monotone_under_edge_removal():
             assert is_free(sub, f)
 
 
-def test_scan_threads_equivalent():
-    rng = random.Random(99)
-    for _ in range(10):
-        h = _random_graph(rng, 11, 3)
-        for max_edges in (2, 3, 5):
-            assert (
-                spanned_edge_violation(h, 5, max_edges)
-                == spanned_edge_violation(h, 5, max_edges, threads=4)
-            )
+def _oracle_violation(h, r, max_edges):
+    # brute force over r-subsets in lex order, counting spanned edges directly
+    for subset in combinations(range(h.n), r):
+        spanned = sum(1 for e in combinations(subset, h.k) if e in h.edge_set)
+        if spanned > max_edges:
+            return subset, spanned
+    return None
+
+
+@st.composite
+def _hosts(draw):
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(k, 10))
+    cand = list(combinations(range(n), k))
+    keep = draw(st.lists(st.booleans(), min_size=len(cand), max_size=len(cand)))
+    return from_edges(k, n, [e for e, kept in zip(cand, keep) if kept])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_hosts(), st.integers(0, 10))
+def test_scan_matches_lex_first_oracle(h, extra):
+    links = {}
+    for t in combinations(range(h.n), h.k - 1):
+        mask = sum(1 << v for v in range(h.n)
+                   if tuple(sorted(t + (v,))) in h.edge_set)
+        if mask:
+            links[t] = mask
+    assert h.links == links
+    for r in range(h.k, h.n + 1):
+        most = max(sum(1 for e in combinations(s, h.k) if e in h.edge_set)
+                   for s in combinations(range(h.n), r))
+        # thresholds just below and at the maximum give both verdicts
+        for max_edges in (most - 1, most, most - 1 - extra):
+            assert (spanned_edge_violation(h, r, max_edges)
+                    == _oracle_violation(h, r, max_edges))
 
 
 def test_generic_scan_path_k4():
-    # k=4 exercises the generic (non pair-mask) scan; the first 5-set of
-    # K6(4)- avoids the missing edge (2,3,4,5) and so is complete
+    # the first 5-set of K6(4)- avoids the missing edge (2,3,4,5) and so
+    # is complete
     h = Km(6, 4)
     assert spanned_edge_violation(h, 5, 4) == ((0, 1, 2, 3, 4), 5)
     assert not spanned_edge_threshold_free(h, 6, 13)
