@@ -241,8 +241,7 @@ def cmd_construct(args):
     elif args.builder == "six-part":
         sizes = _ints(args, 6)
         params = constructions.SixPartParams(tuple(sizes))
-        h = constructions.six_part_h(params)
-        payload["layer_counts"] = constructions.six_part_breakdown(params)
+        h, payload["layer_counts"] = constructions.six_part_with_breakdown(params)
     elif args.builder == "blowup":
         if not args.params:
             raise ParameterError("blowup needs a base family and part sizes")

@@ -234,6 +234,11 @@ def six_part_h(p: SixPartParams) -> Hypergraph:
     copy of the bipartite-style graph between parts 1-2 and between 4-5.
     Layer disjointness is asserted.
     """
+    return six_part_with_breakdown(p)[0]
+
+
+def six_part_with_breakdown(p: SixPartParams) -> tuple[Hypergraph, dict[str, int]]:
+    """six_part_h(p) and six_part_breakdown(p) from one build of the layers."""
     layers = _six_part_layers(p)
     union: set[tuple[int, ...]] = set()
     total = 0
@@ -242,7 +247,9 @@ def six_part_h(p: SixPartParams) -> Hypergraph:
         union.update(layer)
         if len(union) != total:
             raise ConsistencyError(f"layer {name} overlaps an earlier layer")
-    return from_edges(3, p.n, union)
+    counts = {name: len(layer) for name, layer in layers.items()}
+    # every layer holds sorted triples, so the union is canonical once sorted
+    return Hypergraph(3, p.n, tuple(sorted(union))), counts
 
 
 def six_part_breakdown(p: SixPartParams) -> dict[str, int]:

@@ -70,11 +70,6 @@ class Hypergraph:
         return frozenset(self.edges)
 
     @cached_property
-    def edge_masks(self) -> tuple[int, ...]:
-        """Each edge as a vertex bitmask, in edge-list order."""
-        return tuple(_mask(e) for e in self.edges)
-
-    @cached_property
     def links(self) -> dict[tuple[int, ...], int]:
         """Each (k-1)-set lying in an edge, as a sorted tuple, mapped to the
         bitmask of the vertices that complete it to an edge.  Read-only."""
@@ -92,13 +87,6 @@ class Hypergraph:
             for v in e:
                 degs[v] += 1
         return tuple(degs)
-
-
-def _mask(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 def from_edges(k: int, n: int, edges: Iterable[Iterable[int]]) -> Hypergraph:

@@ -7,6 +7,10 @@ k! s^k (n-k)! / n!, so the expected number of crossing edges is e(H) times
 that; this module computes the probability exactly, samples parts
 reproducibly, and checks the identity empirically.
 
+The count reads ``Hypergraph.links``: a crossing edge is a transversal of
+U_1..U_{k-1} together with a vertex of U_k in its link, so one trial costs
+s^(k-1) link lookups, whatever e(H) is.
+
 Divisibility t0 | n is required; per-trial randomness is a deterministic
 function of (seed, trial index), so trials are schedule-independent.
 """
@@ -16,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial, perm
 from typing import Iterator
 
@@ -98,23 +102,23 @@ def enumerate_balanced_parts(n: int, k: int, t0: int) -> Iterator[tuple[tuple[in
 
 
 def crossing_count(h: Hypergraph, parts: BalancedParts) -> int:
-    """Number of edges meeting every part in exactly one vertex."""
+    """Number of edges meeting every part in exactly one vertex.
+
+    Such an edge is a transversal t of U_1..U_{k-1} plus a vertex of U_k
+    in the link of t, so the count is s^(k-1) lookups in ``h.links``.
+    """
     if len(parts.parts) != h.k:
         raise ParameterError(
             f"need k={h.k} parts, got {len(parts.parts)}")
-    masks = []
     for p in parts.parts:
-        m = 0
         for v in p:
             if v < 0 or v >= h.n:
                 raise ParameterError(f"vertex {v} out of range [0, {h.n})")
-            m |= 1 << v
-        masks.append(m)
-    count = 0
-    for em in h.edge_masks:
-        if all((em & m).bit_count() == 1 for m in masks):
-            count += 1
-    return count
+    *heads, last = parts.parts
+    target = sum(1 << v for v in last)
+    links = h.links
+    return sum((links.get(tuple(sorted(t)), 0) & target).bit_count()
+               for t in product(*heads))
 
 
 def expectation_check(

@@ -1,6 +1,8 @@
 """CLI surface: tokens, reports, exit codes, witnesses, determinism."""
 
 import json
+import random
+from itertools import combinations
 
 import pytest
 
@@ -9,7 +11,7 @@ from turansep.criteria import verify_counterexample
 from turansep.embed import Embedding, validate_embedding
 from turansep.errors import ParameterError
 from turansep.exact import random_maximal_free
-from turansep.hypergraph import FamilySpec, build_named, parse, serialize
+from turansep.hypergraph import FamilySpec, build_named, from_edges, parse, serialize
 
 
 def invoke(capsys, *argv):
@@ -169,6 +171,35 @@ def test_crossing_command(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["exact_expectation"] == "27"
     assert payload["empirical_mean"] == 27.0
+
+
+# Made with the edge-mask count, the oracle in test_partitions.py.  Unlike
+# on K12, the count here depends on the parts, so a wrong count shows.
+PINNED_CROSSING_REPORT = """{
+  "command": "crossing",
+  "crossing_probability": "27/220",
+  "empirical_mean": 13.431,
+  "exact_expectation": "27/2",
+  "host": "r12.hg",
+  "seed": 7,
+  "t0": 4,
+  "trials": 1000,
+  "version": "0.1.0",
+  "z_score": -0.9291504215090206
+}
+"""
+
+
+def test_crossing_report_pinned(tmp_path, capsys, monkeypatch):
+    rng = random.Random(12)
+    h = from_edges(3, 12, rng.sample(list(combinations(range(12), 3)), 110))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r12.hg").write_text(serialize(h))
+    for threads in ("1", "8"):
+        code, out = invoke(capsys, "crossing", "r12.hg", "--t0", "4", "--seed",
+                           "7", "--threads", threads, "--json")
+        assert code == 0
+        assert out == PINNED_CROSSING_REPORT
 
 
 def test_seed_env_override(tmp_path, capsys, monkeypatch):

@@ -19,6 +19,7 @@ from turansep.constructions import (
     s6_star_edge_count,
     six_part_breakdown,
     six_part_h,
+    six_part_with_breakdown,
 )
 from turansep.embed import is_free, spanned_edge_threshold_free
 from turansep.errors import ParameterError
@@ -158,6 +159,7 @@ def test_six_part_layers_disjoint_random_sizes():
         # six_part_h asserts layer disjointness internally
         h = six_part_h(p)
         assert h.edge_count == sum(six_part_breakdown(p).values())
+        assert six_part_with_breakdown(p) == (h, six_part_breakdown(p))
 
 
 def test_six_part_five_set_case_analysis():

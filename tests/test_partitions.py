@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from turansep.errors import ParameterError
 from turansep.hypergraph import FamilySpec, Hypergraph, build_named, from_edges
@@ -98,6 +99,53 @@ def test_crossing_count_basics():
     assert crossing_count(K(6, 3), parts) == 8  # s^k transversals
     with pytest.raises(ParameterError):
         crossing_count(K(6, 3), BalancedParts(((0, 1), (2, 3))))
+    with pytest.raises(ParameterError):
+        crossing_count(K(6, 3), BalancedParts(((0, 1), (2, 3), (4, 6))))
+    with pytest.raises(ParameterError):
+        crossing_count(K(6, 3), BalancedParts(((-1, 1), (2, 3), (4, 5))))
+
+
+def _edge_mask_count(h, parts):
+    """Reference count: test every edge against every part."""
+    masks = [sum(1 << v for v in p) for p in parts.parts]
+    return sum(
+        all((sum(1 << v for v in e) & m).bit_count() == 1 for m in masks)
+        for e in h.edges
+    )
+
+
+@st.composite
+def _hosts_and_parts(draw):
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(k, 12))
+    t0 = draw(st.sampled_from([t for t in range(k, n + 1) if n % t == 0]))
+    s = n // t0
+    cand = list(combinations(range(n), k))
+    host = draw(st.sampled_from(["empty", "complete", "random"]))
+    if host == "empty":
+        edges = []
+    elif host == "complete":
+        edges = cand
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        edges = rng.sample(cand, rng.randint(0, len(cand)))
+    how = draw(st.sampled_from(["sampled", "permuted", "descending"]))
+    if how == "sampled":
+        parts = sample_parts(n, k, t0, draw(st.integers(0, 2**32)))
+    else:
+        # hand-built parts whose order is not the vertex order
+        order = (draw(st.permutations(range(n))) if how == "permuted"
+                 else list(range(n - 1, -1, -1)))
+        parts = BalancedParts(
+            tuple(tuple(order[i * s:(i + 1) * s]) for i in range(k)))
+    return from_edges(k, n, edges), parts
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_hosts_and_parts())
+def test_crossing_count_matches_edge_mask_oracle(case):
+    h, parts = case
+    assert crossing_count(h, parts) == _edge_mask_count(h, parts)
 
 
 def test_expectation_exact_on_complete_graph():
