@@ -2,14 +2,21 @@
 
 The search is branch and bound over the lexicographic list of all C(n, k)
 candidate edges.  Every copy of F inside the complete k-graph on [n] is
-precomputed as a bitmask over candidate-edge indices, so "does including
-this edge close a copy of F" is a handful of mask tests against the copies
-through that edge; this is the include/exclude contract with copy detection
-restricted to embeddings forced through the new edge.  A branch is cut when
-the included count plus the number of still-addable candidates cannot beat
-the incumbent.  Filtering the addable list is value-preserving: an edge
-that closes a copy against the current inclusion can never be added later
-on the same branch.
+precomputed as a bitmask over candidate-edge indices (CopyIndex).  Each
+copy's mask is one int, shared by the per-edge lists of all of its edges.
+The complete, complete-minus and daisy families are enumerated directly;
+any other F is enumerated once as its distinct labelings of [v(F)], which
+are then mapped onto every v(F)-subset of [n].
+
+The alive set of a node is a bitmask of the later candidates that can
+still be added without closing a copy of F.  Including candidate j can
+only kill a candidate that lies in a copy through j, so the child's alive
+set is the parent's tail minus one kill mask: the OR of the single missing
+edge of every copy through j that the new inclusion set covers but for
+one edge.  A branch is cut when the included count plus the number of
+alive candidates cannot beat the incumbent.  Dropping dead candidates is
+value-preserving: an edge that closes a copy against the current
+inclusion can never be added later on the same branch.
 
 Two further layers that do not change returned values:
   - exclude chains are collapsed into a choose-next-included-edge loop;
@@ -49,9 +56,10 @@ class _Budget(Exception):
 class CopyIndex:
     """Copies of F inside the complete k-graph on [n], as edge-index masks.
 
-    through[j] holds, for every copy using candidate edge j, the mask of the
-    copy's other edges; adding edge j to an F-free inclusion set creates a
-    copy exactly when one of those masks is already fully included.
+    through[j] holds the full edge mask of every copy using candidate edge
+    j; each copy's mask is one int shared by all of its edges.  Adding edge
+    j to an F-free inclusion set creates a copy exactly when one of those
+    masks has no edge outside the set and j.
     """
 
     def __init__(self, n: int, f: Hypergraph):
@@ -59,13 +67,12 @@ class CopyIndex:
         self.f = f
         self.cand: list[tuple[int, ...]] = list(combinations(range(n), f.k))
         self.index = {e: i for i, e in enumerate(self.cand)}
-        masks = self._copy_masks(n, f)
         through: list[list[int]] = [[] for _ in self.cand]
-        for m in masks:
+        for m in self._copy_masks(n, f):
             rest = m
             while rest:
                 low = rest & -rest
-                through[low.bit_length() - 1].append(m ^ low)
+                through[low.bit_length() - 1].append(m)
                 rest ^= low
         self.through: tuple[tuple[int, ...], ...] = tuple(tuple(t) for t in through)
 
@@ -102,17 +109,25 @@ class CopyIndex:
                 for j in subs:
                     masks.add(full ^ (1 << j))
             return masks
-        # generic: image edge sets over all injections V(F) -> [n]
-        for image in permutations(range(n), vf):
-            m = 0
-            for e in f.edges:
-                m |= 1 << idx[tuple(sorted(image[v] for v in e))]
-            masks.add(m)
+        # generic: every injection V(F) -> [n] is a relabeling of [v(F)]
+        # followed by the order-preserving map onto its image, so map F's
+        # distinct labelings onto each v(F)-subset of [n]
+        labelings = {
+            tuple(sorted(tuple(sorted(p[v] for v in e)) for e in f.edges))
+            for p in permutations(range(vf))
+        }
+        for s in combinations(range(n), vf):
+            for edges in labelings:
+                m = 0
+                for e in edges:
+                    m |= 1 << idx[tuple(s[v] for v in e)]
+                masks.add(m)
         return masks
 
     def addable(self, inc: int, j: int) -> bool:
+        outside = ~(inc | 1 << j)
         for m in self.through[j]:
-            if m & inc == m:
+            if not m & outside:
                 return False
         return True
 
@@ -145,55 +160,62 @@ def turan_number(
     cand = engine.cand
     through = engine.through
     chosen: list[int] = []
-    state = {"best": 0, "witness": (), "nodes": 0, "exhausted": True}
+    best = 0
+    witness: tuple[int, ...] = ()
+    nodes = 0
+    exhausted = True
 
-    def rec(alive: list[int], count: int, inc: int) -> None:
-        state["nodes"] += 1
-        if state["nodes"] > budget:
-            state["exhausted"] = False
+    def rec(alive: int, count: int, inc: int) -> None:
+        # alive: bitmask of the candidates after the last included one that
+        # can still be added to inc without closing a copy of F
+        nonlocal best, witness, nodes, exhausted
+        nodes += 1
+        if nodes > budget:
+            exhausted = False
             raise _Budget
-        if count > state["best"]:
-            state["best"] = count
-            state["witness"] = tuple(chosen)
-        remaining = len(alive)
-        if count + remaining <= state["best"]:
-            return
-        best = state["best"]
-        for pos, j in enumerate(alive):
-            if count + remaining - pos <= state["best"]:
-                break
-            inc2 = inc | (1 << j)
-            tail = alive[pos + 1:]
-            new_alive = []
-            for j2 in tail:
-                for m in through[j2]:
-                    if m & inc2 == m:
-                        break
-                else:
-                    new_alive.append(j2)
+        if count > best:
+            best = count
+            witness = tuple(chosen)
+        rest = alive
+        left = alive.bit_count()
+        while rest and count + left > best:
+            low = rest & -rest
+            rest ^= low
+            left -= 1
+            j = low.bit_length() - 1
+            inc2 = inc | low
+            # a later candidate dies exactly when some copy through j now
+            # misses only that candidate
+            outside = ~inc2
+            kill = 0
+            for m in through[j]:
+                miss = m & outside
+                if not miss & (miss - 1):
+                    kill |= miss
             chosen.append(j)
-            rec(new_alive, count + 1, inc2)
+            rec(rest & ~kill, count + 1, inc2)
             chosen.pop()
 
-    root_alive = [j for j in range(len(cand)) if engine.addable(0, j)]
+    root_alive = sum(1 << j for j in range(len(cand)) if engine.addable(0, j))
     try:
         if root_alive and root_symmetry:
             # sound cut: some optimum (and the lex-min one) contains cand[j0]
-            j0 = root_alive[0]
-            inc = 1 << j0
+            low = root_alive & -root_alive
+            j0 = low.bit_length() - 1
             chosen.append(j0)
-            state["best"] = 1
-            state["witness"] = (j0,)
-            rec([j for j in root_alive[1:] if engine.addable(inc, j)], 1, inc)
+            best = 1
+            witness = (j0,)
+            alive = sum(1 << j for j in range(j0 + 1, len(cand))
+                        if root_alive >> j & 1 and engine.addable(low, j))
+            rec(alive, 1, low)
             chosen.pop()
         else:
             rec(root_alive, 0, 0)
     except _Budget:
         pass
-    edges = tuple(cand[j] for j in state["witness"])
-    witness = Hypergraph(k, n, edges)
+    edges = tuple(cand[j] for j in witness)
     return TuranResult(
-        n, family, state["best"], witness, state["nodes"], state["exhausted"]
+        n, family, best, Hypergraph(k, n, edges), nodes, exhausted
     )
 
 

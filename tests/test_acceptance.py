@@ -118,6 +118,7 @@ def test_criterion_3_exact_search_oracle_equivalence():
     values = {n: turan_number(n, K(4, 3)) for n in (4, 5, 6, 7)}
     elapsed_n7 = time.monotonic() - start
     assert all(v.exhausted for v in values.values())
+    assert (values[7].value, values[7].nodes_explored) == (23, 750_253)
     densities = [Fraction(values[n].value, len(list(combinations(range(n), 3))))
                  for n in (4, 5, 6, 7)]
     assert all(a >= b for a, b in zip(densities, densities[1:]))

@@ -2,13 +2,14 @@
 
 import json
 import random
+import time
 from itertools import combinations
 
 import pytest
 
 from turansep.cli import parse_family_token, run
 from turansep.criteria import verify_counterexample
-from turansep.embed import Embedding, validate_embedding
+from turansep.embed import Embedding, is_free, validate_embedding
 from turansep.errors import ParameterError
 from turansep.exact import random_maximal_free
 from turansep.hypergraph import FamilySpec, build_named, from_edges, parse, serialize
@@ -93,6 +94,21 @@ def test_turan_command(capsys):
     code, out = invoke(capsys, "turan", "6", "K:4,3", "--budget", "5", "--json")
     assert code == 3
     assert json.loads(out)["exhausted"] is False
+
+
+def test_turan_budget_cut_s6_n12(capsys):
+    # the copy index of S6 on 12 vertices is built before the search can
+    # hit its budget, so that build must stay cheap
+    start = time.monotonic()
+    code, out = invoke(capsys, "turan", "12", "S6", "--budget", "10", "--json")
+    elapsed = time.monotonic() - start
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["exhausted"] is False
+    witness = from_edges(3, 12, payload["witness_edges"])
+    assert witness.edge_count == payload["value"]
+    assert is_free(witness, build_named(FamilySpec.s6()))
+    assert elapsed < 5.0
 
 
 def test_separate_command(capsys):

@@ -4,10 +4,16 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from turansep.embed import is_free
+from turansep.embed import check_free, is_free
 from turansep.errors import BudgetExceededError, ParameterError
-from turansep.exact import extremal_witness, random_maximal_free, turan_number
+from turansep.exact import (
+    CopyIndex,
+    extremal_witness,
+    random_maximal_free,
+    turan_number,
+)
 from turansep.hypergraph import FamilySpec, build_named, from_edges
 
 
@@ -148,8 +154,159 @@ def test_random_maximal_free_properties():
             assert not is_free(extended, k4)
 
 
+# random_maximal_free(15, K5-, 0), frozen from the one-int-per-edge index:
+# each edge is three hex digits, one per vertex
+_GREEDY_K5M_15_SEED0 = (
+    "013 014 016 017 018 01a 01b 01c 01d 01e 024 025 027 028 02b 02c 02e "
+    "034 035 036 037 03c 03d 047 048 049 04b 04c 058 059 05a 05c 05d 05e "
+    "068 069 06a 06c 06e 078 07c 07d 07e 089 09b 09c 09d 09e 0ab 0ad 0ae "
+    "0bc 0cd 0ce 123 125 126 12a 12c 12d 134 136 139 13a 13b 13d 13e 145 "
+    "146 147 148 149 14a 14e 157 158 159 15b 15c 15d 168 169 16a 16b 16d "
+    "179 17a 17b 17d 18b 18c 18e 19c 19d 1ab 1ac 1bd 1be 1ce 1de 237 238 "
+    "23a 23b 23c 23d 23e 245 249 24a 24b 24c 24d 256 258 259 25a 25b 25c "
+    "267 26a 26b 26d 26e 279 27a 27b 27d 27e 28b 28e 29a 29b 29d 29e 2ae "
+    "2be 2cd 2ce 345 348 34a 34b 34c 357 358 35c 35e 367 368 369 36c 378 "
+    "379 37a 37b 389 38a 38b 38d 38e 39a 39c 3ac 3bc 3bd 3cd 3ce 457 458 "
+    "45b 45d 467 469 46a 46b 46c 46e 47a 47b 47c 47e 489 48a 48c 48d 48e "
+    "49c 49d 49e 4ab 4ac 4ae 4bd 4be 4cd 4de 567 56a 56b 56c 56d 56e 578 "
+    "57a 57c 57e 58a 58b 58c 58d 58e 59a 59b 59c 59d 5ac 5ae 5be 5de 678 "
+    "67b 67c 67d 67e 68a 68b 68d 68e 69a 69b 69d 6ad 6bc 6cd 6ce 789 78c "
+    "78d 79b 79c 79d 7ac 7ad 7ae 7bd 7cd 7de 89a 89b 89d 8ab 8ad 8ae 8bc "
+    "8bd 8ce 9ac 9ae 9bc 9ce 9de abc abd abe acd ace bcd bce cde"
+)
+
+
 def test_random_maximal_free_deterministic():
     k4 = K(4, 3)
     assert random_maximal_free(15, k4, 0) == random_maximal_free(15, k4, 0)
     # frozen at first run; guards the per-seed stream against regressions
     assert random_maximal_free(15, k4, 0).edge_count == 227
+    edges = tuple(tuple(int(c, 16) for c in w) for w in _GREEDY_K5M_15_SEED0.split())
+    assert len(edges) == 270
+    assert random_maximal_free(15, Km(5, 3), 0).edges == edges
+
+
+def test_search_tree_pinned():
+    # node counts pin the search tree itself, not only its answer;
+    # ex(7, K4) = 23 with 750,253 nodes is pinned in acceptance criterion 3
+    for n, spec, value, nodes in (
+        (9, FamilySpec.daisy(2, 3), 12, 151_138),
+        (7, FamilySpec.complete_minus(5, 3), 28, 497_310),
+    ):
+        f = build_named(spec)
+        res = turan_number(n, f)
+        assert (res.value, res.nodes_explored, res.exhausted) == (value, nodes, True)
+        assert res.witness.edge_count == value
+        assert check_free(res.witness, f, spec) == ("subset-scan", None)
+
+
+def _injection_masks(n, f):
+    """Oracle copy masks: the image edge set of every injection V(F) -> [n]."""
+    idx = {e: i for i, e in enumerate(combinations(range(n), f.k))}
+    masks = set()
+    for image in permutations(range(n), f.n):
+        m = 0
+        for e in f.edges:
+            m |= 1 << idx[tuple(sorted(image[v] for v in e))]
+        masks.add(m)
+    return masks
+
+
+def _list_filter_turan(n, f, budget, root_symmetry):
+    """Oracle search: branch and bound over alive lists, re-testing every
+    tail candidate against the other edges of each copy through it."""
+    cand = list(combinations(range(n), f.k))
+    through = [[] for _ in cand]
+    for m in _injection_masks(n, f):
+        rest = m
+        while rest:
+            low = rest & -rest
+            through[low.bit_length() - 1].append(m ^ low)
+            rest ^= low
+
+    def addable(inc, j):
+        return all(m & inc != m for m in through[j])
+
+    chosen = []
+    state = {"best": 0, "witness": (), "nodes": 0, "exhausted": True}
+
+    class Cut(Exception):
+        pass
+
+    def rec(alive, count, inc):
+        state["nodes"] += 1
+        if state["nodes"] > budget:
+            state["exhausted"] = False
+            raise Cut
+        if count > state["best"]:
+            state["best"] = count
+            state["witness"] = tuple(chosen)
+        remaining = len(alive)
+        for pos, j in enumerate(alive):
+            if count + remaining - pos <= state["best"]:
+                break
+            inc2 = inc | (1 << j)
+            new_alive = [j2 for j2 in alive[pos + 1:] if addable(inc2, j2)]
+            chosen.append(j)
+            rec(new_alive, count + 1, inc2)
+            chosen.pop()
+
+    root_alive = [j for j in range(len(cand)) if addable(0, j)]
+    try:
+        if root_alive and root_symmetry:
+            j0 = root_alive[0]
+            chosen.append(j0)
+            state["best"] = 1
+            state["witness"] = (j0,)
+            rec([j for j in root_alive[1:] if addable(1 << j0, j)], 1, 1 << j0)
+        else:
+            rec(root_alive, 0, 0)
+    except Cut:
+        pass
+    witness = tuple(cand[j] for j in state["witness"])
+    return state["best"], witness, state["nodes"], state["exhausted"]
+
+
+@st.composite
+def _targets(draw, max_vertices=6):
+    """A 3-graph on 4..max_vertices vertices with at least one edge; the
+    vertices its edges miss stay isolated."""
+    vf = draw(st.integers(4, max_vertices))
+    cand = list(combinations(range(vf), 3))
+    keep = draw(st.lists(st.booleans(), min_size=len(cand), max_size=len(cand)))
+    edges = [e for e, kept in zip(cand, keep) if kept] or [cand[-1]]
+    return from_edges(3, vf, edges)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_targets(), st.integers(3, 7), st.booleans(),
+       st.one_of(st.none(), st.integers(5, 50)))
+def test_search_matches_list_filter_oracle(f, n, root_symmetry, budget):
+    if budget is None:
+        # a full search at n=7 can take millions of nodes for a dense F on
+        # six vertices, so n=7 runs to a cut deep in the tree instead
+        budget = 10**8 if n <= 6 else 3000
+    res = turan_number(n, f, budget=budget, root_symmetry=root_symmetry)
+    got = (res.value, res.witness.edges, res.nodes_explored, res.exhausted)
+    assert got == _list_filter_turan(n, f, budget, root_symmetry)
+
+
+def _check_index(n, f):
+    through = CopyIndex(n, f).through
+    copies = _injection_masks(n, f)
+    assert set().union(*through) == copies
+    assert sum(len(t) for t in through) == len(copies) * f.edge_count
+    for j, masks in enumerate(through):
+        assert all(m >> j & 1 for m in masks)
+
+
+def test_index_matches_injection_oracle_s6():
+    s6 = build_named(FamilySpec.s6())
+    for n in range(5, 10):
+        _check_index(n, s6)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_targets(max_vertices=7), st.integers(3, 8))
+def test_index_matches_injection_oracle_custom(f, n):
+    _check_index(n, f)
