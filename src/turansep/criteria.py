@@ -9,9 +9,11 @@ densities when either condition holds:
 
 Condition (1) delegates to the exact Turán search and reports "unknown"
 when the search was not exhausted.  Condition (2) enumerates vertex
-assignments as base-k counters (vertex 0 the most significant digit);
-parts may be empty, and a partition with an empty V_j, j >= 2, passes
-automatically since F - ∅ = F ⊇ F'.  Parts 2..k play symmetric roles, so
+assignments as base-k counters (vertex 0 the most significant digit),
+keeping each part as a vertex mask.  An edge is fully assigned once its
+last vertex is, so a prefix is cut as soon as such an edge's vertex mask
+misses V_1.  Parts may be empty, and a partition with an empty V_j,
+j >= 2, passes automatically since F - ∅ = F ⊇ F'.  Parts 2..k play symmetric roles, so
 by default only assignments whose non-first labels appear in increasing
 first-occurrence order are enumerated; the unpruned enumerator is kept for
 cross-checks and returns the same verdict and, up to part relabeling, the
@@ -116,13 +118,12 @@ def check_condition2(
     """
     _require_subgraph(f, f_sub)
     m, k = f.n, f.k
-    edge_list = f.edges
-    # per edge: index of its last vertex, for completion bookkeeping
-    edges_of_vertex: list[list[int]] = [[] for _ in range(m)]
-    last_vertex = [e[-1] for e in edge_list]
-    for i, e in enumerate(edge_list):
-        for v in e:
-            edges_of_vertex[v].append(i)
+    # vertices are assigned in index order, so an edge is fully assigned
+    # once its last vertex is: ending_at[v] holds the vertex masks of the
+    # edges whose last vertex is v
+    ending_at: list[list[int]] = [[] for _ in range(m)]
+    for e in f.edges:
+        ending_at[e[-1]].append(sum(1 << v for v in e))
 
     # memoized containment of F' in F - V_j, keyed on the removed set
     memo: dict[int, bool] = {}
@@ -135,12 +136,7 @@ def check_condition2(
             memo[part_mask] = hit
         return hit
 
-    assignment = [0] * m
     part_masks = [0] * k
-    # edge_missing[i]: vertices of edge i not yet assigned; edge_met[i]:
-    # whether some assigned vertex of edge i landed in part 1
-    edge_missing = [len(e) for e in edge_list]
-    edge_met = [0] * len(edge_list)
     checked = 0
     violation: list[Partition] = []
 
@@ -150,42 +146,24 @@ def check_condition2(
         for j in range(1, k):
             if part_masks[j] == 0 or contained_after_removing(part_masks[j]):
                 return True
-        violation.append(
-            tuple(
-                tuple(v for v in range(m) if assignment[v] == j)
-                for j in range(k)
-            )
-        )
+        violation.append(tuple(
+            tuple(v for v in range(m) if part >> v & 1) for part in part_masks))
         return False
 
     def enumerate_from(v: int, used_labels: int) -> bool:
         if v == m:
             return visit_leaf()
         top = k if not dedup else min(used_labels + 2, k)
+        bit = 1 << v
         for label in range(top):
-            assignment[v] = label
-            bit = 1 << v
             part_masks[label] |= bit
-            filtered = False
-            for i in edges_of_vertex[v]:
-                edge_missing[i] -= 1
-                if label == 0:
-                    edge_met[i] += 1
-                # an edge fully assigned outside part 1 fails the filter, so
-                # no partition in this subtree qualifies
-                if edge_missing[i] == 0 and edge_met[i] == 0:
-                    filtered = True
-            ok = True
-            if not filtered:
+            # an edge fully assigned outside part 1 fails the filter, so no
+            # partition in this subtree qualifies
+            if all(e & part_masks[0] for e in ending_at[v]):
                 next_used = used_labels if label == 0 else max(used_labels, label)
-                ok = enumerate_from(v + 1, next_used)
-            for i in edges_of_vertex[v]:
-                edge_missing[i] += 1
-                if label == 0:
-                    edge_met[i] -= 1
-            part_masks[label] &= ~bit
-            if not ok:
-                return False
+                if not enumerate_from(v + 1, next_used):
+                    return False
+            part_masks[label] ^= bit
         return True
 
     holds = enumerate_from(0, 0)

@@ -4,9 +4,9 @@ The search is branch and bound over the lexicographic list of all C(n, k)
 candidate edges.  Every copy of F inside the complete k-graph on [n] is
 precomputed as a bitmask over candidate-edge indices (CopyIndex).  Each
 copy's mask is one int, shared by the per-edge lists of all of its edges.
-The complete, complete-minus and daisy families are enumerated directly;
-any other F is enumerated once as its distinct labelings of [v(F)], which
-are then mapped onto every v(F)-subset of [n].
+Every F goes through one enumeration: its distinct labelings of [v(F)],
+found as the orbit of its edge set under the adjacent transpositions
+(a complete F has one), are mapped onto every v(F)-subset of [n].
 
 The alive set of a node is a bitmask of the later candidates that can
 still be added without closing a copy of F.  Including candidate j can
@@ -29,9 +29,9 @@ Two further layers that do not change returned values:
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from math import comb
+from itertools import combinations
 
 from .errors import BudgetExceededError, ParameterError
 from .hypergraph import FamilySpec, Hypergraph
@@ -53,6 +53,31 @@ class _Budget(Exception):
     pass
 
 
+def _labelings(f: Hypergraph) -> list[tuple[int, ...]]:
+    """F's distinct labelings of [v(F)], each as the sorted positions of its
+    edges in the lex list of k-subsets of [v(F)].
+
+    They are the orbit of F's edge set under the adjacent transpositions
+    (i, i+1), which generate every relabeling; a complete F has one.
+    """
+    subsets = list(combinations(range(f.n), f.k))
+    pos = {e: i for i, e in enumerate(subsets)}
+    swaps = []
+    for i in range(f.n - 1):
+        tau = {i: i + 1, i + 1: i}
+        swaps.append([pos[tuple(sorted(tau.get(v, v) for v in e))]
+                      for e in subsets])
+    orbit = [tuple(sorted(pos[e] for e in f.edges))]
+    seen = set(orbit)
+    for edges in orbit:
+        for swap in swaps:
+            image = tuple(sorted(swap[p] for p in edges))
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
+    return orbit
+
+
 class CopyIndex:
     """Copies of F inside the complete k-graph on [n], as edge-index masks.
 
@@ -63,66 +88,35 @@ class CopyIndex:
     """
 
     def __init__(self, n: int, f: Hypergraph):
-        self.n = n
-        self.f = f
+        if f.edge_count == 0 and f.n <= n:
+            raise ParameterError("F without edges is contained in every graph")
         self.cand: list[tuple[int, ...]] = list(combinations(range(n), f.k))
         self.index = {e: i for i, e in enumerate(self.cand)}
-        through: list[list[int]] = [[] for _ in self.cand]
-        for m in self._copy_masks(n, f):
-            rest = m
-            while rest:
-                low = rest & -rest
-                through[low.bit_length() - 1].append(m)
-                rest ^= low
+        # a helper, so that its set of seen masks is freed before the lists
+        # are copied into tuples: that keeps the peak memory down
+        through = self._copies_through(n, f)
         self.through: tuple[tuple[int, ...], ...] = tuple(tuple(t) for t in through)
 
-    def _copy_masks(self, n: int, f: Hypergraph) -> set[int]:
-        k, vf, ef = f.k, f.n, f.edge_count
-        if vf > n:
-            return set()
-        idx = self.index
-        masks: set[int] = set()
-        if vf == k + 1:
-            # any ef distinct k-subsets of a (k+1)-set form a copy (daisy
-            # family, including the complete and complete-minus cases)
-            for s in combinations(range(n), k + 1):
-                subs = [idx[e] for e in combinations(s, k)]
-                for pick in combinations(subs, ef):
-                    m = 0
-                    for j in pick:
-                        m |= 1 << j
-                    masks.add(m)
-            return masks
-        if ef == comb(vf, k):
-            for s in combinations(range(n), vf):
-                m = 0
-                for e in combinations(s, k):
-                    m |= 1 << idx[e]
-                masks.add(m)
-            return masks
-        if ef == comb(vf, k) - 1:
-            for s in combinations(range(n), vf):
-                subs = [idx[e] for e in combinations(s, k)]
-                full = 0
-                for j in subs:
-                    full |= 1 << j
-                for j in subs:
-                    masks.add(full ^ (1 << j))
-            return masks
-        # generic: every injection V(F) -> [n] is a relabeling of [v(F)]
-        # followed by the order-preserving map onto its image, so map F's
-        # distinct labelings onto each v(F)-subset of [n]
-        labelings = {
-            tuple(sorted(tuple(sorted(p[v] for v in e)) for e in f.edges))
-            for p in permutations(range(vf))
-        }
-        for s in combinations(range(n), vf):
+    def _copies_through(self, n: int, f: Hypergraph) -> list[list[int]]:
+        # every injection V(F) -> [n] is a relabeling of [v(F)] followed by
+        # the order-preserving map onto its image, so map F's labelings onto
+        # each v(F)-subset of [n]; a copy that leaves some vertex of F
+        # isolated comes from several subsets and is stored once
+        through: list[list[int]] = [[] for _ in self.cand]
+        labelings = _labelings(f) if f.n <= n else []
+        seen: set[int] = set()
+        for s in combinations(range(n), f.n):
+            ids = [self.index[e] for e in combinations(s, f.k)]
+            bits = [1 << j for j in ids]
             for edges in labelings:
                 m = 0
-                for e in edges:
-                    m |= 1 << idx[tuple(s[v] for v in e)]
-                masks.add(m)
-        return masks
+                for p in edges:
+                    m |= bits[p]
+                if m not in seen:
+                    seen.add(m)
+                    for p in edges:
+                        through[ids[p]].append(m)
+        return through
 
     def addable(self, inc: int, j: int) -> bool:
         outside = ~(inc | 1 << j)
@@ -150,9 +144,7 @@ def turan_number(
     k = f.k
     if family is None:
         family = FamilySpec.custom(f)
-    if f.edge_count == 0:
-        if f.n <= n:
-            raise ParameterError("F without edges is contained in every graph")
+    if f.edge_count == 0 and f.n > n:
         full = tuple(combinations(range(n), k))
         return TuranResult(n, family, len(full), Hypergraph(k, n, full), 0, True)
 
@@ -197,6 +189,10 @@ def turan_number(
             chosen.pop()
 
     root_alive = sum(1 << j for j in range(len(cand)) if engine.addable(0, j))
+    # rec recurses once per included edge; CPython >= 3.11 makes
+    # Python-to-Python calls without the C stack, so only the limit binds
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + len(cand))
     try:
         if root_alive and root_symmetry:
             # sound cut: some optimum (and the lex-min one) contains cand[j0]
@@ -213,6 +209,8 @@ def turan_number(
             rec(root_alive, 0, 0)
     except _Budget:
         pass
+    finally:
+        sys.setrecursionlimit(limit)
     edges = tuple(cand[j] for j in witness)
     return TuranResult(
         n, family, best, Hypergraph(k, n, edges), nodes, exhausted

@@ -1,11 +1,15 @@
 """CLI surface: tokens, reports, exit codes, witnesses, determinism."""
 
+import contextlib
+import io
 import json
 import random
+import sys
 import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from turansep.cli import parse_family_token, run
 from turansep.criteria import verify_counterexample
@@ -111,6 +115,17 @@ def test_turan_budget_cut_s6_n12(capsys):
     assert elapsed < 5.0
 
 
+def test_turan_search_deeper_than_recursion_limit(capsys):
+    # K:21,3 does not fit on 20 vertices, so the search includes all 1140
+    # candidates, one recursion level each: deeper than the default limit
+    limit = sys.getrecursionlimit()
+    code, out = invoke(capsys, "turan", "20", "K:21,3", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["value"], payload["nodes_explored"]) == (1140, 1140)
+    assert sys.getrecursionlimit() == limit
+
+
 def test_separate_command(capsys):
     code, out = invoke(capsys, "separate", "K:5,3", "K:4,3", "--json")
     assert code == 0
@@ -126,6 +141,18 @@ def test_condition2_witness_revalidates(capsys):
     f = build_named(FamilySpec.complete_minus(5, 3))
     fs = build_named(FamilySpec.complete(4, 3))
     assert verify_counterexample(f, fs, tuple(tuple(p) for p in partition))
+
+
+def test_condition2_reports_pinned(capsys):
+    code, out = invoke(capsys, "condition2", "K-:9,5", "K:8,5", "--json")
+    assert code == 1
+    assert json.loads(out)["condition2"] == {
+        "holds": False, "partitions_checked": 2443,
+        "counterexample_partition": [[4, 5, 6, 7, 8], [0], [1], [2], [3]]}
+    code, out = invoke(capsys, "condition2", "K-:9,6", "K:8,6", "--json")
+    assert code == 0
+    assert json.loads(out)["condition2"] == {
+        "holds": True, "partitions_checked": 9146}
 
 
 def test_condition1_command(capsys):
@@ -268,3 +295,48 @@ def test_reports_are_reproducible(capsys):
     a = invoke(capsys, "separate", "K:6,3", "K:5,3")
     b = invoke(capsys, "separate", "K:6,3", "K:5,3")
     assert a == b
+
+
+def _tokens(k):
+    return st.one_of(
+        st.just("S6"),
+        st.builds("{}:{},{}".format, st.sampled_from(["K", "K-", "D"]),
+                  st.integers(k - 1, k + 3), st.just(k)),
+    )
+
+
+@st.composite
+def _fuzz_argv(draw):
+    # both families usually share k, so that pairs often get past parsing
+    k = draw(st.integers(1, 5))
+    command = draw(st.sampled_from(
+        ["turan", "free-check", "contains", "condition1", "condition2"]))
+    if command != "turan":
+        k2 = draw(st.one_of(st.just(k), st.integers(1, 5)))
+        argv = [command, draw(_tokens(k)), draw(_tokens(k2))]
+    elif draw(st.booleans()):
+        argv = [command, str(draw(st.integers(-1, 8))), draw(_tokens(k))]
+    else:
+        # a target that does not fit on the host vertices
+        n = draw(st.integers(0, 20))
+        argv = [command, str(n), f"K:{n + 1},3"]
+    argv += ["--budget", str(draw(st.integers(1, 200)))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_fuzz_argv())
+def test_cli_fuzz_exit_contract(argv):
+    code, out, err = _run_captured(argv + ["--threads", "1"])
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err and err.count("error:") <= 1, argv
+    assert _run_captured(argv + ["--threads", "8"]) == (code, out, err), argv

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from turansep import embed
 from turansep.criteria import (
@@ -155,6 +156,33 @@ def test_condition2_random_targets_against_oracle():
         assert got.holds == expect_holds
         if got.counterexample is not None:
             assert verify_counterexample(f, fs, got.counterexample)
+
+
+@st.composite
+def _pairs(draw):
+    """F on at most six vertices with k in 2..4, and F' made of some of
+    F's edges on a prefix of its vertices, so that F' ⊆ F."""
+    k = draw(st.integers(2, 4))
+    m = draw(st.integers(k, 6))
+    cand = list(combinations(range(m), k))
+    keep = draw(st.lists(st.booleans(), min_size=len(cand), max_size=len(cand)))
+    edges = [e for e, kept in zip(cand, keep) if kept] or [cand[0]]
+    sub = [e for e in edges if draw(st.booleans())]
+    m_sub = draw(st.integers(max((e[-1] + 1 for e in sub), default=0), m))
+    return from_edges(k, m, edges), from_edges(k, m_sub, sub)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_pairs())
+def test_condition2_matches_naive_oracle(pair):
+    f, fs = pair
+    naive_holds, naive_witness = naive_condition2(f, fs)
+    slow = check_condition2(f, fs, dedup=False)
+    fast = check_condition2(f, fs)
+    assert slow.holds == fast.holds == naive_holds
+    assert slow.counterexample == naive_witness
+    if not fast.holds:
+        assert verify_counterexample(f, fs, fast.counterexample)
 
 
 def test_condition2_relabeling_invariance():

@@ -119,6 +119,9 @@ def test_edgeless_target():
         turan_number(5, from_edges(3, 4, []))  # fits, so contained everywhere
     res = turan_number(5, from_edges(3, 9, []))  # v(F) > n: no copy fits
     assert res.value == 10
+    with pytest.raises(ParameterError):
+        random_maximal_free(5, from_edges(3, 4, []), 0)
+    assert random_maximal_free(5, from_edges(3, 9, []), 0).edge_count == 10
 
 
 def test_budget_cutoff():
@@ -310,3 +313,17 @@ def test_index_matches_injection_oracle_s6():
 @given(_targets(max_vertices=7), st.integers(3, 8))
 def test_index_matches_injection_oracle_custom(f, n):
     _check_index(n, f)
+
+
+@pytest.mark.parametrize("k", (3, 4, 5))
+def test_index_matches_injection_oracle_named(k):
+    # every daisy, and complete and complete-minus targets on k+1 and k+2
+    # vertices; K:7,5 on nine vertices alone costs the oracle about 6 s, so
+    # k = 5 stops at k+1 (k = 3 and 4 cover the shapes on k+2 vertices)
+    specs = [FamilySpec.daisy(t, k) for t in range(1, k + 2)]
+    for ell in range(k + 1, k + 3 if k < 5 else k + 2):
+        specs += [FamilySpec.complete(ell, k), FamilySpec.complete_minus(ell, k)]
+    for spec in specs:
+        f = build_named(spec)
+        for n in range(f.n, f.n + 3):
+            _check_index(n, f)
