@@ -24,6 +24,17 @@ Two further layers that do not change returned values:
     optimum relabels, by a vertex permutation, to one containing the first
     candidate edge, and that relabeling also preserves the lexicographically
     smallest optimal edge list, which is the witness tie-break.
+
+CopyIndex is the exact search's alone.  The seeded greedy
+random_maximal_free builds none: it walks the shuffled candidates, keeps
+the links of the growing graph (each (k-1)-set mapped to the bitmask of
+the vertices completing it, as in Hypergraph.links) and adds a candidate
+e iff no copy of F runs through e.  Its anchors are F's labelings that
+contain the edge (0..k-1), one per class under relabelings of the rest
+vertices k..v(F)-1, found as components under the transpositions
+(i, i+1) with i >= k.  Each anchor maps (0..k-1) onto e and extends one
+rest vertex at a time; the candidates for a rest vertex are the unused
+vertices ANDed with the links of its edges' other k-1 vertices.
 """
 
 from __future__ import annotations
@@ -53,21 +64,23 @@ class _Budget(Exception):
     pass
 
 
-def _labelings(f: Hypergraph) -> list[tuple[int, ...]]:
-    """F's distinct labelings of [v(F)], each as the sorted positions of its
-    edges in the lex list of k-subsets of [v(F)].
-
-    They are the orbit of F's edge set under the adjacent transpositions
-    (i, i+1), which generate every relabeling; a complete F has one.
-    """
-    subsets = list(combinations(range(f.n), f.k))
+def _swap_tables(v: int, k: int) -> tuple[dict[tuple[int, ...], int], list[list[int]]]:
+    """Positions of the k-subsets of [v] in lex order, and for each adjacent
+    transposition (i, i+1) of [v] the map it induces on those positions."""
+    subsets = list(combinations(range(v), k))
     pos = {e: i for i, e in enumerate(subsets)}
     swaps = []
-    for i in range(f.n - 1):
+    for i in range(v - 1):
         tau = {i: i + 1, i + 1: i}
-        swaps.append([pos[tuple(sorted(tau.get(v, v) for v in e))]
+        swaps.append([pos[tuple(sorted(tau.get(u, u) for u in e))]
                       for e in subsets])
-    orbit = [tuple(sorted(pos[e] for e in f.edges))]
+    return pos, swaps
+
+
+def _orbit(starts: list[tuple[int, ...]], swaps: list[list[int]]) -> list[tuple[int, ...]]:
+    """Every edge-position set reachable from starts through the swaps, in
+    breadth-first order."""
+    orbit = list(dict.fromkeys(starts))
     seen = set(orbit)
     for edges in orbit:
         for swap in swaps:
@@ -76,6 +89,56 @@ def _labelings(f: Hypergraph) -> list[tuple[int, ...]]:
                 seen.add(image)
                 orbit.append(image)
     return orbit
+
+
+def _labelings(f: Hypergraph) -> list[tuple[int, ...]]:
+    """F's distinct labelings of [v(F)], each as the sorted positions of its
+    edges in the lex list of k-subsets of [v(F)].
+
+    They are the orbit of F's edge set under the adjacent transpositions
+    (i, i+1), which generate every relabeling; a complete F has one.
+    """
+    pos, swaps = _swap_tables(f.n, f.k)
+    return _orbit([tuple(sorted(pos[e] for e in f.edges))], swaps)
+
+
+def _anchors(f: Hypergraph) -> list[list[tuple[tuple[int, ...], ...]]]:
+    """F's labelings that contain the edge (0..k-1), one per class under
+    relabelings of the rest vertices k..v(F)-1.
+
+    Each is given, for every rest vertex w in turn, as the (k-1)-sets of
+    the edges whose last vertex is w.  Every edge but (0..k-1) has a rest
+    vertex, so these sets cover all of them.
+    """
+    k = f.k
+    pos, swaps = _swap_tables(f.n, k)
+    subsets = list(pos)
+    # for each edge g of F, the labeling that sends g onto (0..k-1) in order
+    # and the other vertices onto k..v(F)-1 in order
+    starts = []
+    for g in f.edges:
+        label = {u: i for i, u in enumerate(
+            list(g) + [u for u in range(f.n) if u not in g])}
+        starts.append(tuple(sorted(
+            pos[tuple(sorted(label[u] for u in e))] for e in f.edges)))
+    # the swaps other than (k-1, k) generate the relabelings that fix the
+    # set {0..k-1}, so this orbit is every labeling containing (0..k-1)
+    rest = swaps[k:]
+    containing = _orbit(starts, swaps[:k - 1] + rest)
+    seen: set[tuple[int, ...]] = set()
+    anchors = []
+    for edges in containing:
+        if edges in seen:
+            continue
+        same_class = _orbit([edges], rest)
+        seen.update(same_class)
+        # the class member whose edges end earliest meets its constraints
+        # at the lowest rest vertices, so the check prunes soonest
+        best = min(same_class,
+                   key=lambda es: sorted(subsets[p][-1] for p in es))
+        anchors.append([tuple(subsets[p][:-1] for p in best if subsets[p][-1] == w)
+                        for w in range(k, f.n)])
+    return anchors
 
 
 class CopyIndex:
@@ -229,14 +292,69 @@ def extremal_witness(
     return result.witness
 
 
+def _extend(node: dict, links: dict[tuple[int, ...], int], phi: list[int],
+            free: int) -> bool:
+    """Whether some anchor below node extends phi to a copy of F in the
+    graph with these links.
+
+    phi maps F's vertices 0..len(phi)-1; free holds the unused vertices.
+    A module function rather than a closure: a recursive closure is a
+    reference cycle, and each greedy call would leave its links behind
+    until the cyclic collector ran.
+    """
+    if not node:
+        return True
+    for step, child in node.items():
+        c = free
+        for t in step:
+            c &= links.get(tuple(sorted([phi[u] for u in t])), 0)
+            if not c:
+                break
+        while c:
+            low = c & -c
+            c ^= low
+            phi.append(low.bit_length() - 1)
+            if _extend(child, links, phi, free ^ low):
+                return True
+            phi.pop()
+    return False
+
+
 def random_maximal_free(n: int, f: Hypergraph, seed: int) -> Hypergraph:
-    """Greedy maximal F-free graph over a seed-shuffled candidate order."""
-    engine = CopyIndex(n, f)
-    order = list(range(len(engine.cand)))
-    random.Random(seed).shuffle(order)
-    inc = 0
-    for j in order:
-        if engine.addable(inc, j):
-            inc |= 1 << j
-    edges = [engine.cand[j] for j in range(len(engine.cand)) if inc >> j & 1]
-    return Hypergraph(f.k, n, tuple(edges))
+    """Greedy maximal F-free graph over a seed-shuffled candidate order.
+
+    A candidate e is added iff the graph plus e has no copy of F through
+    e; the graph is F-free, so that is exactly whether it stays F-free.
+    Each anchor maps (0..k-1) onto e in order and extends vertex by vertex,
+    taking the candidates for a rest vertex from the links of the graph.
+    """
+    if f.edge_count == 0 and f.n <= n:
+        raise ParameterError("F without edges is contained in every graph")
+    k = f.k
+    cand = list(combinations(range(n), k))
+    # a shuffle permutes positions only, so this is the order in which the
+    # seed shuffles the candidate indices
+    random.Random(seed).shuffle(cand)
+    # the anchors merged on their common prefixes: each node maps the
+    # (k-1)-sets constraining the next rest vertex to the node after it
+    anchors = _anchors(f) if f.n <= n else []
+    tree: dict = {}
+    for steps in anchors:
+        node = tree
+        for step in steps:
+            node = node.setdefault(step, {})
+    links: dict[tuple[int, ...], int] = {}
+
+    full = (1 << n) - 1
+    edges = []
+    for e in cand:
+        free = full
+        for v in e:
+            free ^= 1 << v
+        if anchors and _extend(tree, links, list(e), free):
+            continue
+        edges.append(e)
+        for i, v in enumerate(e):
+            t = e[:i] + e[i + 1:]
+            links[t] = links.get(t, 0) | 1 << v
+    return Hypergraph(k, n, tuple(sorted(edges)))

@@ -5,8 +5,10 @@ import io
 import json
 import random
 import sys
+import tempfile
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -333,10 +335,71 @@ def _run_captured(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
-@given(_fuzz_argv())
-def test_cli_fuzz_exit_contract(argv):
+def _check_exit_contract(argv):
     code, out, err = _run_captured(argv + ["--threads", "1"])
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err and err.count("error:") <= 1, argv
     assert _run_captured(argv + ["--threads", "8"]) == (code, out, err), argv
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_fuzz_argv())
+def test_cli_fuzz_exit_contract(argv):
+    _check_exit_contract(argv)
+
+
+def _params(draw, count, top=3):
+    if draw(st.booleans()):
+        return [str(draw(st.integers(1, top))) for _ in range(count)]
+    # one more or one fewer, non-positive values, tokens that are not integers
+    count = max(0, count + draw(st.integers(-1, 1)))
+    return [draw(st.one_of(st.integers(-1, top).map(str), st.sampled_from(["x", "1.5"])))
+            for _ in range(count)]
+
+
+@st.composite
+def _fuzz_builder_argv(draw):
+    """A builder, or crossing on a host file; the host's header and edges
+    are returned for the test to write, by hand, so that k = 1 reaches the
+    parser."""
+    builder = draw(st.sampled_from(
+        ["s6star", "bipartite-g", "six-part", "blowup", "crossing"]))
+    host = None
+    if builder == "crossing":
+        k = draw(st.integers(1, 4))
+        n = draw(st.integers(0, 9))
+        cand = list(combinations(range(n), k))
+        host = (k, n, draw(st.lists(st.sampled_from(cand), unique=True, max_size=30))
+                if cand else [])
+        # a t0 >= k that divides n passes validation
+        divisors = [d for d in range(k, n + 1) if n % d == 0] or [k]
+        t0 = draw(st.one_of(st.sampled_from(divisors), st.integers(-1, 9)))
+        argv = ["crossing", None, "--t0", str(t0),
+                "--trials", str(draw(st.integers(-1, 30))),
+                "--seed", str(draw(st.integers(-5, 2**40)))]
+    elif builder == "s6star":
+        # cheap enough to build on a few dozen vertices
+        argv = ["construct", builder] + _params(draw, 1, top=30)
+    elif builder == "bipartite-g":
+        argv = ["construct", builder] + _params(draw, 1)
+    elif builder == "six-part":
+        argv = ["construct", builder] + _params(draw, 6)
+    else:
+        argv = ["construct", builder, "S6"] + _params(draw, 6)
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv, host
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_fuzz_builder_argv())
+def test_cli_fuzz_builders_and_crossing(case):
+    argv, host = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if host is not None:
+            k, n, edges = host
+            path = Path(tmp) / "host.hg"
+            path.write_text(f"{k} {n}\n" + "".join(
+                " ".join(map(str, e)) + "\n" for e in edges))
+            argv = [str(path) if a is None else a for a in argv]
+        _check_exit_contract(argv)

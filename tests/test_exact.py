@@ -1,6 +1,7 @@
 """Exact Turán search against independent brute-force oracles."""
 
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -10,6 +11,8 @@ from turansep.embed import check_free, is_free
 from turansep.errors import BudgetExceededError, ParameterError
 from turansep.exact import (
     CopyIndex,
+    _anchors,
+    _labelings,
     extremal_witness,
     random_maximal_free,
     turan_number,
@@ -179,12 +182,37 @@ _GREEDY_K5M_15_SEED0 = (
 )
 
 
+# random_maximal_free(15, K4, 0), frozen from the CopyIndex greedy
+_GREEDY_K4_15_SEED0 = (
+    "014 015 016 018 01b 01c 023 024 025 028 02b 02e 034 035 036 037 03d "
+    "047 049 04c 04d 04e 05c 05d 05e 068 069 06a 06c 06e 078 07a 07b 07c "
+    "07d 07e 089 08c 09a 09b 09c 09d 0ab 0ad 0ae 0ce 123 124 125 12a 12c "
+    "12d 134 135 136 139 13a 13d 13e 146 147 148 149 157 158 159 15b 15d "
+    "16a 16b 16d 16e 179 17a 17d 18b 18e 19c 1ab 1ac 1bd 1be 1ce 1de 236 "
+    "237 238 23c 245 249 24a 24b 24c 24d 258 259 25a 25b 25c 269 26a 26b "
+    "26d 26e 279 27a 27b 27d 27e 289 28b 28d 28e 29a 29e 2ae 2bc 2be 2cd "
+    "2ce 345 348 34b 34c 357 358 35b 35c 35e 367 368 369 36c 379 37a 37b "
+    "389 38a 38b 38e 39a 39c 39d 3ad 3ae 3bd 3cd 3ce 457 45d 467 46a 46b "
+    "46c 46d 46e 478 47a 489 48a 48c 48d 48e 49b 49e 4ab 4ac 4ae 4bd 4de "
+    "567 56a 56b 56c 56d 578 57a 57c 57e 58a 58c 58d 59b 59c 59d 5ae 5be "
+    "5de 678 67b 67d 67e 68a 68b 68d 68e 69b 69d 6ad 6bc 6cd 789 79b 79c "
+    "79d 7ac 7bd 7cd 7de 89b 89d 8ab 8bc 8bd 8ce 9ac 9bc 9be 9ce 9de abc "
+    "abd abe ace ade bcd cde"
+)
+
+
+def _hex_edges(words):
+    return tuple(tuple(int(c, 16) for c in w) for w in words.split())
+
+
 def test_random_maximal_free_deterministic():
     k4 = K(4, 3)
     assert random_maximal_free(15, k4, 0) == random_maximal_free(15, k4, 0)
     # frozen at first run; guards the per-seed stream against regressions
-    assert random_maximal_free(15, k4, 0).edge_count == 227
-    edges = tuple(tuple(int(c, 16) for c in w) for w in _GREEDY_K5M_15_SEED0.split())
+    edges = _hex_edges(_GREEDY_K4_15_SEED0)
+    assert len(edges) == 227
+    assert random_maximal_free(15, k4, 0).edges == edges
+    edges = _hex_edges(_GREEDY_K5M_15_SEED0)
     assert len(edges) == 270
     assert random_maximal_free(15, Km(5, 3), 0).edges == edges
 
@@ -271,14 +299,19 @@ def _list_filter_turan(n, f, budget, root_symmetry):
 
 
 @st.composite
-def _targets(draw, max_vertices=6):
-    """A 3-graph on 4..max_vertices vertices with at least one edge; the
-    vertices its edges miss stay isolated."""
-    vf = draw(st.integers(4, max_vertices))
-    cand = list(combinations(range(vf), 3))
+def _graphs(draw, k, vf):
+    """A k-graph on vf vertices with at least one edge; the vertices its
+    edges miss stay isolated."""
+    cand = list(combinations(range(vf), k))
     keep = draw(st.lists(st.booleans(), min_size=len(cand), max_size=len(cand)))
     edges = [e for e, kept in zip(cand, keep) if kept] or [cand[-1]]
-    return from_edges(3, vf, edges)
+    return from_edges(k, vf, edges)
+
+
+@st.composite
+def _targets(draw, max_vertices=6):
+    """A 3-graph on 4..max_vertices vertices with at least one edge."""
+    return draw(_graphs(3, draw(st.integers(4, max_vertices))))
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -327,3 +360,101 @@ def test_index_matches_injection_oracle_named(k):
         f = build_named(spec)
         for n in range(f.n, f.n + 3):
             _check_index(n, f)
+
+
+def _index_greedy(n, f, seed):
+    """Oracle greedy: ask the full copy index whether each candidate, in the
+    seed-shuffled order, can be added."""
+    engine = CopyIndex(n, f)
+    order = list(range(len(engine.cand)))
+    random.Random(seed).shuffle(order)
+    inc = 0
+    for j in order:
+        if engine.addable(inc, j):
+            inc |= 1 << j
+    return tuple(engine.cand[j] for j in range(len(engine.cand)) if inc >> j & 1)
+
+
+@st.composite
+def _greedy_cases(draw):
+    """F random (k 2..4, on k..7 vertices, isolated vertices included) with
+    n from v(F)-1 to v(F)+3, or a named F with n up to 12."""
+    k = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        f = draw(_graphs(k, draw(st.integers(k, 7))))
+        n = draw(st.integers(f.n - 1, f.n + 3))
+    else:
+        spec = draw(st.one_of(
+            st.just(FamilySpec.s6()),
+            st.builds(FamilySpec.complete, st.integers(k + 1, k + 2), st.just(k)),
+            st.builds(FamilySpec.complete_minus, st.integers(k + 1, k + 2), st.just(k)),
+            st.builds(FamilySpec.daisy, st.integers(1, k + 1), st.just(k)),
+        ))
+        f = build_named(spec)
+        n = draw(st.integers(max(f.k, f.n - 1), 12))
+    return f, n, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_greedy_cases())
+def test_greedy_matches_index_oracle(case):
+    f, n, seed = case
+    assert random_maximal_free(n, f, seed).edges == _index_greedy(n, f, seed)
+
+
+def _rest_canonical(edges, k, v):
+    """The smallest relabeling of an edge set over every permutation of the
+    rest vertices k..v-1."""
+    return min(
+        tuple(sorted(tuple(sorted(image[u] for u in e)) for e in edges))
+        for image in (tuple(range(k)) + rest for rest in permutations(range(k, v))))
+
+
+def _rest_classes(f):
+    """Oracle anchor classes: F's labelings that contain (0..k-1), up to the
+    permutations of the rest vertices."""
+    subsets = list(combinations(range(f.n), f.k))
+    return {_rest_canonical([subsets[p] for p in labeling], f.k, f.n)
+            for labeling in _labelings(f) if 0 in labeling}
+
+
+def _anchor_classes(f):
+    """The classes of the anchors, each anchor rebuilt as an edge set."""
+    k = f.k
+    found = set()
+    for steps in _anchors(f):
+        edges = [tuple(range(k))] + [t + (w,) for w, step in enumerate(steps, k)
+                                     for t in step]
+        assert len(edges) == f.edge_count
+        found.add(_rest_canonical(edges, k, f.n))
+    return found
+
+
+def test_anchor_counts_pinned():
+    for f, count in ((K(4, 3), 1), (Km(5, 3), 6), (build_named(FamilySpec.s6()), 1),
+                     (D(3, 3), 3)):
+        assert len(_anchors(f)) == count
+        assert len(_anchor_classes(f)) == count == len(_rest_classes(f))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(
+    lambda k: st.integers(k, 6).flatmap(lambda vf: _graphs(k, vf))))
+def test_anchors_are_the_rest_classes(f):
+    # one anchor per class, and every class has one
+    assert len(_anchor_classes(f)) == len(_anchors(f))
+    assert _anchor_classes(f) == _rest_classes(f)
+
+
+def test_greedy_trivial_automorphism_target():
+    # 10 edges on 8 vertices and 8! distinct labelings: 60 anchor classes
+    f = from_edges(3, 8, [(0, 1, 6), (0, 2, 5), (0, 4, 5), (1, 2, 5), (1, 4, 5),
+                          (1, 5, 7), (2, 3, 5), (2, 3, 6), (2, 4, 5), (4, 6, 7)])
+    assert len(_labelings(f)) == 40320
+    assert len(_anchors(f)) == 60
+    start = time.perf_counter()
+    got = random_maximal_free(9, f, 0)
+    # deduplicating the classes by every permutation of the rest vertices
+    # takes ten seconds and more here
+    assert time.perf_counter() - start < 5
+    assert got.edges == _index_greedy(9, f, 0)
