@@ -15,6 +15,7 @@ under --timing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -406,8 +407,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first run, not at import, and reused: parse_args keeps
+    # no state between calls
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -13,10 +13,31 @@ still be added without closing a copy of F.  Including candidate j can
 only kill a candidate that lies in a copy through j, so the child's alive
 set is the parent's tail minus one kill mask: the OR of the single missing
 edge of every copy through j that the new inclusion set covers but for
-one edge.  A branch is cut when the included count plus the number of
-alive candidates cannot beat the incumbent.  Dropping dead candidates is
-value-preserving: an edge that closes a copy against the current
-inclusion can never be added later on the same branch.
+one edge.  Dropping dead candidates is value-preserving: an edge that
+closes a copy against the current inclusion can never be added later on
+the same branch.
+
+A branch is cut when count + |alive| - packed cannot beat the incumbent.
+packed is a greedy packing of copies of F that lie inside inc | alive and
+whose alive parts are pairwise disjoint: an F-free completion must drop
+an alive edge of each (the analogue of the colouring bound of
+bit-parallel max-clique solvers).  The copies come from a live list
+handed down the recursion: the root gets CopyIndex.copies, and each list
+is a superset of the copies inside its node's inc | alive, in the order
+the index found them.  Two rules keep the lists cheap:
+  - pack only when 2 * gap <= |alive|, with gap = count + |alive| - best:
+    every copy inside inc | alive has at least two alive edges (each
+    alive edge alone is addable), so a smaller packing cannot close the
+    gap.  The scan stops once packed >= gap, and a scan that does not
+    stop leaves the filtered list, which the children read;
+  - a node that does not pack filters its list against inc | alive just
+    before its second child; the first child reads the list as it was
+    handed down, so a dive to the first leaf filters nothing.
+Exclude chains are collapsed into a choose-next-included-edge loop (see
+below), and each pass of that loop is a node for these rules, its alive
+set being the candidates the loop has yet to decide.  Every cut is
+strict, so the search tree is a subtree of the one without packing, in
+the same order, and the witness is unchanged.
 
 Two further layers that do not change returned values:
   - exclude chains are collapsed into a choose-next-included-edge loop;
@@ -41,6 +62,7 @@ from __future__ import annotations
 
 import random
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -144,10 +166,11 @@ def _anchors(f: Hypergraph) -> list[list[tuple[tuple[int, ...], ...]]]:
 class CopyIndex:
     """Copies of F inside the complete k-graph on [n], as edge-index masks.
 
-    through[j] holds the full edge mask of every copy using candidate edge
-    j; each copy's mask is one int shared by all of its edges.  Adding edge
-    j to an F-free inclusion set creates a copy exactly when one of those
-    masks has no edge outside the set and j.
+    copies holds every copy's mask once, in the order they are found;
+    through[j] holds the masks of the copies using candidate edge j, each
+    one int shared by all of its edges.  Adding edge j to an F-free
+    inclusion set creates a copy exactly when one of those masks has no
+    edge outside the set and j.
     """
 
     def __init__(self, n: int, f: Hypergraph):
@@ -157,14 +180,16 @@ class CopyIndex:
         self.index = {e: i for i, e in enumerate(self.cand)}
         # a helper, so that its set of seen masks is freed before the lists
         # are copied into tuples: that keeps the peak memory down
-        through = self._copies_through(n, f)
+        copies, through = self._copies_through(n, f)
+        self.copies: tuple[int, ...] = tuple(copies)
         self.through: tuple[tuple[int, ...], ...] = tuple(tuple(t) for t in through)
 
-    def _copies_through(self, n: int, f: Hypergraph) -> list[list[int]]:
+    def _copies_through(self, n: int, f: Hypergraph) -> tuple[list[int], list[list[int]]]:
         # every injection V(F) -> [n] is a relabeling of [v(F)] followed by
         # the order-preserving map onto its image, so map F's labelings onto
         # each v(F)-subset of [n]; a copy that leaves some vertex of F
         # isolated comes from several subsets and is stored once
+        copies: list[int] = []
         through: list[list[int]] = [[] for _ in self.cand]
         labelings = _labelings(f) if f.n <= n else []
         seen: set[int] = set()
@@ -177,16 +202,26 @@ class CopyIndex:
                     m |= bits[p]
                 if m not in seen:
                     seen.add(m)
+                    copies.append(m)
                     for p in edges:
                         through[ids[p]].append(m)
-        return through
+        return copies, through
 
-    def addable(self, inc: int, j: int) -> bool:
-        outside = ~(inc | 1 << j)
-        for m in self.through[j]:
-            if not m & outside:
-                return False
-        return True
+
+def _kill(masks: Sequence[int], inc: int) -> int:
+    """The candidates that a copy among masks would close against inc: the
+    OR of the single missing edge of every mask that inc covers but for one.
+
+    After edge j joins inc, a later candidate dies exactly when some copy
+    through j misses only that candidate.
+    """
+    outside = ~inc
+    kill = 0
+    for m in masks:
+        miss = m & outside
+        if not miss & (miss - 1):
+            kill |= miss
+    return kill
 
 
 def turan_number(
@@ -220,9 +255,10 @@ def turan_number(
     nodes = 0
     exhausted = True
 
-    def rec(alive: int, count: int, inc: int) -> None:
+    def rec(alive: int, count: int, inc: int, live: Sequence[int]) -> None:
         # alive: bitmask of the candidates after the last included one that
-        # can still be added to inc without closing a copy of F
+        # can still be added to inc without closing a copy of F; live: the
+        # copy masks handed down, a superset of the copies inside inc | alive
         nonlocal best, witness, nodes, exhausted
         nodes += 1
         if nodes > budget:
@@ -233,25 +269,46 @@ def turan_number(
             witness = tuple(chosen)
         rest = alive
         left = alive.bit_count()
+        filtered = False
+        # each pass decides the candidates in rest, branching on the lowest
         while rest and count + left > best:
+            gap = count + left - best
+            # a copy inside inc | rest has two edges in rest or more (each
+            # alone is addable), so a packing can reach gap only if
+            # 2 * gap <= left
+            if 2 * gap <= left:
+                within = inc | rest
+                inside = []
+                used = packed = 0
+                for m in live:
+                    if m & within == m:
+                        inside.append(m)
+                        part = m & rest
+                        if not part & used:
+                            # an F-free completion drops an edge of part
+                            used |= part
+                            packed += 1
+                            if packed >= gap:
+                                return
+                live = inside
+                filtered = True
+            elif rest != alive and not filtered:
+                # filter once, just before the second child; the first
+                # child reads the list as it was handed down
+                within = inc | rest
+                live = [m for m in live if m & within == m]
+                filtered = True
             low = rest & -rest
             rest ^= low
             left -= 1
             j = low.bit_length() - 1
             inc2 = inc | low
-            # a later candidate dies exactly when some copy through j now
-            # misses only that candidate
-            outside = ~inc2
-            kill = 0
-            for m in through[j]:
-                miss = m & outside
-                if not miss & (miss - 1):
-                    kill |= miss
             chosen.append(j)
-            rec(rest & ~kill, count + 1, inc2)
+            rec(rest & ~_kill(through[j], inc2), count + 1, inc2, live)
             chosen.pop()
 
-    root_alive = sum(1 << j for j in range(len(cand)) if engine.addable(0, j))
+    # a copy with one edge kills that edge at the root
+    root_alive = ((1 << len(cand)) - 1) & ~_kill(engine.copies, 0)
     # rec recurses once per included edge; CPython >= 3.11 makes
     # Python-to-Python calls without the C stack, so only the limit binds
     limit = sys.getrecursionlimit()
@@ -264,12 +321,11 @@ def turan_number(
             chosen.append(j0)
             best = 1
             witness = (j0,)
-            alive = sum(1 << j for j in range(j0 + 1, len(cand))
-                        if root_alive >> j & 1 and engine.addable(low, j))
-            rec(alive, 1, low)
+            alive = (root_alive ^ low) & ~_kill(through[j0], low)
+            rec(alive, 1, low, engine.copies)
             chosen.pop()
         else:
-            rec(root_alive, 0, 0)
+            rec(root_alive, 0, 0, engine.copies)
     except _Budget:
         pass
     finally:

@@ -118,7 +118,12 @@ def test_criterion_3_exact_search_oracle_equivalence():
     values = {n: turan_number(n, K(4, 3)) for n in (4, 5, 6, 7)}
     elapsed_n7 = time.monotonic() - start
     assert all(v.exhausted for v in values.values())
-    assert (values[7].value, values[7].nodes_explored) == (23, 750_253)
+    # 750,253 nodes before the packing bound, with the same lex-min witness
+    assert (values[7].value, values[7].nodes_explored) == (23, 21_754)
+    lex_min = ("012 013 014 015 023 024 025 034 035 046 056 126 136 145 146 "
+               "156 236 245 246 256 345 346 356")
+    assert values[7].witness.edges == tuple(
+        tuple(int(c) for c in w) for w in lex_min.split())
     densities = [Fraction(values[n].value, len(list(combinations(range(n), 3))))
                  for n in (4, 5, 6, 7)]
     assert all(a >= b for a, b in zip(densities, densities[1:]))

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import random
+import re
+import subprocess
 import sys
 import tempfile
 import time
@@ -245,6 +247,49 @@ def test_crossing_report_pinned(tmp_path, capsys, monkeypatch):
                            "7", "--threads", threads, "--json")
         assert code == 0
         assert out == PINNED_CROSSING_REPORT
+
+
+def test_reused_parser_matches_fresh_processes(tmp_path, capsys, monkeypatch):
+    # run builds its parser once per process; a sequence of calls in one
+    # process must give what each call gives in a process of its own
+    host = tmp_path / "g.hg"
+    host.write_text(serialize(random_maximal_free(9, build_named(FamilySpec.complete(4, 3)), 0)))
+    calls = [
+        ["crossing", str(host), "--t0", "3", "--trials", "50", "--seed", "5"],
+        ["crossing", str(host), "--t0", "3", "--trials", "50"],
+        ["turan", "6", "K:4,3", "--budget", "5", "--json"],
+        ["turan", "x", "K:4,3"],
+        ["free-check", str(host), "K:4,3", "--timing"],
+        ["free-check", str(host), "D:2,3", "--json", "--timing", "--seed", "3"],
+        [],
+        ["construct", "s6star", "abc"],
+        ["contains", "K-:5,3", "K:4,3", "--json"],
+        ["turan", "5", "K:4,3"],
+        ["crossing", str(host), "--t0", "3", "--trials", "50", "--json"],
+    ]
+    # the usage text wraps at the terminal width, and the reported time varies
+    env = {"PATH": "", "COLUMNS": "80",
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("TURANSEP_SEED", raising=False)
+
+    def untimed(text):
+        return re.sub(r"(timing_seconds\"?:) [0-9.]+", r"\1 T", text)
+
+    in_process = []
+    for argv in calls:
+        code = run(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, untimed(captured.out), captured.err))
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from turansep.cli import run; sys.exit(run(sys.argv[1:]))",
+             *argv], capture_output=True, text=True, env=env, cwd=tmp_path)
+        fresh.append((proc.returncode, untimed(proc.stdout), proc.stderr))
+    assert [c for c, _, _ in in_process] == [0, 0, 3, 2, 0, 1, 2, 2, 0, 0, 0]
+    assert in_process == fresh
 
 
 def test_seed_env_override(tmp_path, capsys, monkeypatch):

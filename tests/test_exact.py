@@ -219,16 +219,26 @@ def test_random_maximal_free_deterministic():
 
 def test_search_tree_pinned():
     # node counts pin the search tree itself, not only its answer;
-    # ex(7, K4) = 23 with 750,253 nodes is pinned in acceptance criterion 3
-    for n, spec, value, nodes in (
-        (9, FamilySpec.daisy(2, 3), 12, 151_138),
-        (7, FamilySpec.complete_minus(5, 3), 28, 497_310),
+    # ex(7, K4) = 23 with 21,754 nodes is pinned in acceptance criterion 3.
+    # Before the packing bound these took 151,138 and 497,310 nodes; the
+    # lex-min witnesses are frozen from that search
+    for n, spec, value, nodes, witness, limit in (
+        (9, FamilySpec.daisy(2, 3), 12, 23_984,
+         "012 034 056 078 135 147 168 238 246 257 367 458", None),
+        (7, FamilySpec.complete_minus(5, 3), 28, 25_608,
+         "012 013 014 015 023 024 026 035 036 045 046 056 123 125 126 134 "
+         "136 145 146 156 234 235 245 246 256 345 346 356", 5.0),
     ):
         f = build_named(spec)
+        start = time.perf_counter()
         res = turan_number(n, f)
+        elapsed = time.perf_counter() - start
         assert (res.value, res.nodes_explored, res.exhausted) == (value, nodes, True)
+        assert res.witness.edges == _hex_edges(witness)
         assert res.witness.edge_count == value
         assert check_free(res.witness, f, spec) == ("subset-scan", None)
+        if limit is not None:
+            assert elapsed < limit
 
 
 def _injection_masks(n, f):
@@ -318,13 +328,22 @@ def _targets(draw, max_vertices=6):
 @given(_targets(), st.integers(3, 7), st.booleans(),
        st.one_of(st.none(), st.integers(5, 50)))
 def test_search_matches_list_filter_oracle(f, n, root_symmetry, budget):
+    # the oracle has only the count + |alive| cut; the packing bound prunes
+    # its tree strictly, so it finds the same answer in no more nodes
     if budget is None:
         # a full search at n=7 can take millions of nodes for a dense F on
         # six vertices, so n=7 runs to a cut deep in the tree instead
         budget = 10**8 if n <= 6 else 3000
     res = turan_number(n, f, budget=budget, root_symmetry=root_symmetry)
-    got = (res.value, res.witness.edges, res.nodes_explored, res.exhausted)
-    assert got == _list_filter_turan(n, f, budget, root_symmetry)
+    value, witness, nodes, exhausted = _list_filter_turan(n, f, budget, root_symmetry)
+    assert res.nodes_explored <= nodes
+    if exhausted:
+        assert res.exhausted
+        assert (res.value, res.witness.edges) == (value, witness)
+    if not res.exhausted:
+        assert res.nodes_explored == budget + 1
+    assert res.value == res.witness.edge_count
+    assert is_free(res.witness, f)
 
 
 def _check_index(n, f):
@@ -370,7 +389,9 @@ def _index_greedy(n, f, seed):
     random.Random(seed).shuffle(order)
     inc = 0
     for j in order:
-        if engine.addable(inc, j):
+        # j is addable iff no copy through j lies inside inc plus j
+        outside = ~(inc | 1 << j)
+        if all(m & outside for m in engine.through[j]):
             inc |= 1 << j
     return tuple(engine.cand[j] for j in range(len(engine.cand)) if inc >> j & 1)
 
