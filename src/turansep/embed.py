@@ -2,11 +2,16 @@
 
 A copy of F in H is an injective, edge-preserving vertex map (ordinary
 subgraph containment, not induced).  ``contains`` returns the first
-embedding in a fixed search order, so results are deterministic.
+embedding in a fixed search order, so results are deterministic.  It maps
+F's vertices in descending degree order, one at a time, and reads
+``Hypergraph.links``, the bitmask of vertices completing each (k-1)-set to
+an edge: the candidates for the next vertex are the unused vertices ANDed
+with the links of the images of its F-edges' other k-1 vertices (the
+edges whose last vertex in the order it is), tried lowest first.  The
+same routine, ``_extend``, serves the greedy ``exact.random_maximal_free``.
 
 The r-subset scan has one code path for every uniformity k.  It walks
-the (r-1)-subset prefixes in lex order and reads ``Hypergraph.links``,
-the bitmask of vertices completing each (k-1)-set to an edge: the edges
+the (r-1)-subset prefixes in lex order and reads the same links: the edges
 inside a prefix come from popcounts of its (k-1)-subsets' links, and a
 small at-least-j pass over the link masks above the prefix finds the
 lowest last vertex that pushes the count over the threshold.
@@ -15,6 +20,7 @@ lowest last vertex that pushes the count over the threshold.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -45,6 +51,46 @@ def _vertex_order(f: Hypergraph) -> list[int]:
     return sorted(range(f.n), key=lambda v: (-f.degrees[v], v))
 
 
+def _step_tree(chains: Iterable[Iterable[tuple[tuple[int, ...], ...]]]) -> dict:
+    """Step lists merged on their common prefixes: each node maps the
+    (k-1)-sets constraining the next vertex to the node after it."""
+    tree: dict = {}
+    for steps in chains:
+        node = tree
+        for step in steps:
+            node = node.setdefault(step, {})
+    return tree
+
+
+def _extend(node: dict, links: dict[tuple[int, ...], int], phi: list[int],
+            free: int) -> bool:
+    """Whether some chain of steps below node extends phi to a copy of F in
+    the graph with these links; on success phi holds the copy.
+
+    phi maps F's vertices 0..len(phi)-1; free holds the unused vertices.
+    The candidates for the next vertex are free ANDed with the links of the
+    images of the step's (k-1)-sets, tried lowest first.  A module function
+    rather than a closure: a recursive closure is a reference cycle, and
+    each call would leave its links behind until the cyclic collector ran.
+    """
+    if not node:
+        return True
+    for step, child in node.items():
+        c = free
+        for t in step:
+            c &= links.get(tuple(sorted([phi[u] for u in t])), 0)
+            if not c:
+                break
+        while c:
+            low = c & -c
+            c ^= low
+            phi.append(low.bit_length() - 1)
+            if _extend(child, links, phi, free ^ low):
+                return True
+            phi.pop()
+    return False
+
+
 def contains(h: Hypergraph, f: Hypergraph) -> Embedding | None:
     """First embedding of F into H in deterministic search order, if any."""
     if h.k != f.k:
@@ -53,40 +99,16 @@ def contains(h: Hypergraph, f: Hypergraph) -> Embedding | None:
         return None
     order = _vertex_order(f)
     pos = {v: i for i, v in enumerate(order)}
-    # F-edges become checkable once their last vertex (in `order`) is mapped
-    edges_at: list[list[tuple[int, ...]]] = [[] for _ in range(f.n)]
+    # an F-edge constrains the image of its last vertex in `order`, through
+    # the positions of its other k-1 vertices
+    steps: list[list[tuple[int, ...]]] = [[] for _ in order]
     for e in f.edges:
-        edges_at[max(pos[v] for v in e)].append(e)
-    f_degs = f.degrees
-    h_degs = h.degrees
-    h_edges = h.edge_set
-    image = [-1] * f.n
-    used = [False] * h.n
-
-    def extend(depth: int) -> bool:
-        if depth == f.n:
-            return True
-        fv = order[depth]
-        need = f_degs[fv]
-        for hv in range(h.n):
-            if used[hv] or h_degs[hv] < need:
-                continue
-            image[fv] = hv
-            ok = all(
-                tuple(sorted(image[v] for v in e)) in h_edges
-                for e in edges_at[depth]
-            )
-            if ok:
-                used[hv] = True
-                if extend(depth + 1):
-                    return True
-                used[hv] = False
-            image[fv] = -1
-        return False
-
-    if extend(0):
-        return Embedding(tuple(image))
-    return None
+        ps = sorted(pos[v] for v in e)
+        steps[ps[-1]].append(tuple(ps[:-1]))
+    phi: list[int] = []
+    if not _extend(_step_tree([map(tuple, steps)]), h.links, phi, (1 << h.n) - 1):
+        return None
+    return Embedding(tuple(phi[pos[v]] for v in range(f.n)))
 
 
 def check_free(

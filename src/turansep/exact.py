@@ -39,12 +39,11 @@ set being the candidates the loop has yet to decide.  Every cut is
 strict, so the search tree is a subtree of the one without packing, in
 the same order, and the witness is unchanged.
 
-Two further layers that do not change returned values:
-  - exclude chains are collapsed into a choose-next-included-edge loop;
-  - at the root, only the first branch is explored (root_symmetry): any
-    optimum relabels, by a vertex permutation, to one containing the first
-    candidate edge, and that relabeling also preserves the lexicographically
-    smallest optimal edge list, which is the witness tie-break.
+One further layer does not change returned values: at the root, only the
+first branch is explored (root_symmetry).  Any optimum relabels, by a
+vertex permutation, to one containing the first candidate edge, and that
+relabeling also preserves the lexicographically smallest optimal edge
+list, which is the witness tie-break.
 
 CopyIndex is the exact search's alone.  The seeded greedy
 random_maximal_free builds none: it walks the shuffled candidates, keeps
@@ -54,7 +53,8 @@ e iff no copy of F runs through e.  Its anchors are F's labelings that
 contain the edge (0..k-1), one per class under relabelings of the rest
 vertices k..v(F)-1, found as components under the transpositions
 (i, i+1) with i >= k.  Each anchor maps (0..k-1) onto e and extends one
-rest vertex at a time; the candidates for a rest vertex are the unused
+rest vertex at a time through embed._extend, the copy search that
+embed.contains runs too: the candidates for a rest vertex are the unused
 vertices ANDed with the links of its edges' other k-1 vertices.
 """
 
@@ -66,6 +66,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
+from .embed import _extend, _step_tree
 from .errors import BudgetExceededError, ParameterError
 from .hypergraph import FamilySpec, Hypergraph
 
@@ -330,6 +331,9 @@ def turan_number(
         pass
     finally:
         sys.setrecursionlimit(limit)
+        # rec refers to itself through its closure; without this the cycle
+        # keeps the index alive until a full collection
+        del rec
     edges = tuple(cand[j] for j in witness)
     return TuranResult(
         n, family, best, Hypergraph(k, n, edges), nodes, exhausted
@@ -348,34 +352,6 @@ def extremal_witness(
     return result.witness
 
 
-def _extend(node: dict, links: dict[tuple[int, ...], int], phi: list[int],
-            free: int) -> bool:
-    """Whether some anchor below node extends phi to a copy of F in the
-    graph with these links.
-
-    phi maps F's vertices 0..len(phi)-1; free holds the unused vertices.
-    A module function rather than a closure: a recursive closure is a
-    reference cycle, and each greedy call would leave its links behind
-    until the cyclic collector ran.
-    """
-    if not node:
-        return True
-    for step, child in node.items():
-        c = free
-        for t in step:
-            c &= links.get(tuple(sorted([phi[u] for u in t])), 0)
-            if not c:
-                break
-        while c:
-            low = c & -c
-            c ^= low
-            phi.append(low.bit_length() - 1)
-            if _extend(child, links, phi, free ^ low):
-                return True
-            phi.pop()
-    return False
-
-
 def random_maximal_free(n: int, f: Hypergraph, seed: int) -> Hypergraph:
     """Greedy maximal F-free graph over a seed-shuffled candidate order.
 
@@ -391,14 +367,8 @@ def random_maximal_free(n: int, f: Hypergraph, seed: int) -> Hypergraph:
     # a shuffle permutes positions only, so this is the order in which the
     # seed shuffles the candidate indices
     random.Random(seed).shuffle(cand)
-    # the anchors merged on their common prefixes: each node maps the
-    # (k-1)-sets constraining the next rest vertex to the node after it
     anchors = _anchors(f) if f.n <= n else []
-    tree: dict = {}
-    for steps in anchors:
-        node = tree
-        for step in steps:
-            node = node.setdefault(step, {})
+    tree = _step_tree(anchors)
     links: dict[tuple[int, ...], int] = {}
 
     full = (1 << n) - 1

@@ -1,12 +1,16 @@
 """Containment search, freeness, and the r-subset threshold scan."""
 
+import gc
 import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from turansep.constructions import iterated_blowup_s6
 from turansep.embed import (
+    Embedding,
+    _vertex_order,
     check_free,
     contains,
     is_free,
@@ -16,6 +20,7 @@ from turansep.embed import (
     validate_embedding,
 )
 from turansep.errors import ParameterError
+from turansep.exact import random_maximal_free, turan_number
 from turansep.hypergraph import FamilySpec, Hypergraph, build_named, from_edges
 
 
@@ -111,6 +116,97 @@ def test_agreement_with_threshold_scan():
         assert is_free(h, f) == spanned_edge_threshold_free(h, r, max_edges)
         checked += 1
     assert checked == 200
+    # negative searches: hosts free of the target, where the embedding
+    # search must exhaust every partial map
+    blowup = iterated_blowup_s6(36)
+    hosts = [(blowup, K(4, 3)), (blowup, Km(5, 3))]
+    hosts += [(random_maximal_free(15, K(4, 3), s), K(4, 3)) for s in range(4)]
+    for h, f in hosts:
+        assert spanned_edge_threshold_free(h, f.n, f.edge_count - 1)
+        assert contains(h, f) is None
+
+
+def _contains_oracle(h, f):
+    # reference search in the same vertex order: every host vertex in turn,
+    # a degree filter and a set lookup per F-edge
+    if h.k != f.k:
+        raise ParameterError(f"uniformity mismatch: H has k={h.k}, F has k={f.k}")
+    if f.n > h.n or f.edge_count > h.edge_count:
+        return None
+    order = _vertex_order(f)
+    pos = {v: i for i, v in enumerate(order)}
+    edges_at = [[] for _ in range(f.n)]
+    for e in f.edges:
+        edges_at[max(pos[v] for v in e)].append(e)
+    image = [-1] * f.n
+    used = [False] * h.n
+
+    def extend(depth):
+        if depth == f.n:
+            return True
+        fv = order[depth]
+        for hv in range(h.n):
+            if used[hv] or h.degrees[hv] < f.degrees[fv]:
+                continue
+            image[fv] = hv
+            if all(tuple(sorted(image[v] for v in e)) in h.edge_set
+                   for e in edges_at[depth]):
+                used[hv] = True
+                if extend(depth + 1):
+                    return True
+                used[hv] = False
+            image[fv] = -1
+        return False
+
+    return Embedding(tuple(image)) if extend(0) else None
+
+
+@st.composite
+def _graph(draw, k, n, levels):
+    # each k-subset is kept when its draw falls below the level: level 0
+    # gives the empty graph, level 10 the complete one
+    cand = list(combinations(range(n), k))
+    level = draw(st.sampled_from(levels))
+    draws = draw(st.lists(st.integers(0, 9), min_size=len(cand), max_size=len(cand)))
+    return from_edges(k, n, [e for e, d in zip(cand, draws) if d < level])
+
+
+@st.composite
+def _host_and_target(draw):
+    k = draw(st.integers(2, 4))
+    # orders of k vertices or more come first; smaller ones have no edges
+    f_n = draw(st.sampled_from([*range(k, k + 4), *range(k)]))
+    h_n = draw(st.sampled_from([*range(k, 11), *range(k)]))
+    f = draw(_graph(k, f_n, (4, 7, 10, 2, 0)))
+    h = draw(_graph(k, h_n, (6, 8, 3, 10, 0)))
+    return h, f
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_host_and_target())
+def test_contains_matches_search_oracle(pair):
+    h, f = pair
+    emb = contains(h, f)
+    assert emb == _contains_oracle(h, f)
+    if emb is not None:
+        assert validate_embedding(h, f, emb)
+
+
+def test_searches_leave_no_reference_cycles():
+    # a call that leaves a cycle keeps its graphs or copy index alive until
+    # the next full collection
+    hosts = [random_maximal_free(15, Km(5, 3), s) for s in range(10)]
+    gc.collect()
+    gc.disable()
+    try:
+        for s, h in enumerate(hosts):
+            contains(h, Km(5, 3))
+            random_maximal_free(15, Km(5, 3), s)
+        turan_number(6, K(4, 3))
+        turan_number(10, S6, budget=10)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_freeness_monotone_under_edge_removal():
