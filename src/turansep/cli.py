@@ -165,9 +165,8 @@ def cmd_free_check(args):
 
 
 def cmd_turan(args):
-    spec, f = parse_family_token(args.family)
-    result = exact.turan_number(
-        args.n, f, budget=args.budget, family=spec or FamilySpec.custom(f))
+    _, f = parse_family_token(args.family)
+    result = exact.turan_number(args.n, f, budget=args.budget)
     payload = {
         "command": "turan", "version": __version__,
         "n": args.n, "family": args.family,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 from . import embed
 from .errors import ConsistencyError, ParameterError
@@ -129,17 +128,16 @@ def iterated_blowup_s6(n: int) -> Hypergraph:
     if n < 0:
         raise ParameterError(f"vertex count must be >= 0, got n={n}")
     edges: list[tuple[int, ...]] = []
-
-    def fill(lo: int, hi: int) -> None:
-        if hi - lo < 6:
-            return
-        parts = _near_equal_split(lo, hi, 6)
+    # a worklist of vertex ranges, the parts of each split appended to it;
+    # from_edges sorts, so the order of the ranges does not matter
+    ranges = [range(n)]
+    for r in ranges:
+        if len(r) < 6:
+            continue
+        parts = _near_equal_split(r.start, r.stop, 6)
         for e in S6_EDGES:
             edges.extend(_transversals([parts[v] for v in e]))
-        for p in parts:
-            fill(p.start, p.stop)
-
-    fill(0, n)
+        ranges.extend(parts)
     return from_edges(3, n, edges)
 
 

@@ -53,8 +53,6 @@ class Condition2Result:
 
 @dataclass(frozen=True)
 class SeparationReport:
-    f: Hypergraph
-    f_sub: Hypergraph
     condition1: Condition1Result
     condition2: Condition2Result
     verdict: str  # "separated" | "not-established"
@@ -166,7 +164,12 @@ def check_condition2(
             part_masks[label] ^= bit
         return True
 
-    holds = enumerate_from(0, 0)
+    try:
+        holds = enumerate_from(0, 0)
+    finally:
+        # enumerate_from refers to itself through its closure; without this
+        # the cycle keeps the memo alive until a full collection
+        del enumerate_from
     return Condition2Result(
         holds=holds,
         counterexample=None if holds else violation[0],
@@ -205,8 +208,6 @@ def separate(
     cond2 = check_condition2(f, f_sub)
     separated = cond1.holds is True or cond2.holds
     return SeparationReport(
-        f=f,
-        f_sub=f_sub,
         condition1=cond1,
         condition2=cond2,
         verdict="separated" if separated else "not-established",

@@ -26,7 +26,6 @@ from math import comb
 from .constructions import (
     ALLOWED_PART_TRIPLES,
     SixPartParams,
-    bipartite_g_edge_count,
     six_part_h,
 )
 from .criteria import de_caen_bound

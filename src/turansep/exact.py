@@ -68,15 +68,13 @@ from itertools import combinations
 
 from .embed import _extend, _step_tree
 from .errors import BudgetExceededError, ParameterError
-from .hypergraph import FamilySpec, Hypergraph
+from .hypergraph import Hypergraph
 
 DEFAULT_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
 class TuranResult:
-    n: int
-    family: FamilySpec
     value: int
     witness: Hypergraph
     nodes_explored: int
@@ -229,7 +227,6 @@ def turan_number(
     n: int,
     f: Hypergraph,
     budget: int = DEFAULT_BUDGET,
-    family: FamilySpec | None = None,
     root_symmetry: bool = True,
 ) -> TuranResult:
     """Maximum edge count of an F-free k-graph on n vertices.
@@ -241,11 +238,9 @@ def turan_number(
     if budget <= 0:
         raise ParameterError(f"budget must be positive, got {budget}")
     k = f.k
-    if family is None:
-        family = FamilySpec.custom(f)
     if f.edge_count == 0 and f.n > n:
         full = tuple(combinations(range(n), k))
-        return TuranResult(n, family, len(full), Hypergraph(k, n, full), 0, True)
+        return TuranResult(len(full), Hypergraph(k, n, full), 0, True)
 
     engine = CopyIndex(n, f)
     cand = engine.cand
@@ -335,9 +330,7 @@ def turan_number(
         # keeps the index alive until a full collection
         del rec
     edges = tuple(cand[j] for j in witness)
-    return TuranResult(
-        n, family, best, Hypergraph(k, n, edges), nodes, exhausted
-    )
+    return TuranResult(best, Hypergraph(k, n, edges), nodes, exhausted)
 
 
 def extremal_witness(

@@ -104,18 +104,17 @@ def from_edges(k: int, n: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Symbolic descriptor of a named hypergraph family.
+    """Symbolic descriptor of one of the paper's named families.
 
-    kind is one of ``complete``, ``complete-minus``, ``daisy``, ``s6``,
-    ``custom``.  Parameter bounds are checked on construction.
+    kind is one of ``complete`` (K:l,k), ``complete-minus`` (K-:l,k),
+    ``daisy`` (D:t,k) or ``s6`` (S6).  Parameter bounds are checked on
+    construction.
     """
 
     kind: str
     ell: int | None = None
     k: int | None = None
     t: int | None = None
-    n: int | None = None
-    edges: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind in ("complete", "complete-minus"):
@@ -130,12 +129,7 @@ class FamilySpec:
             if self.t is None or not 1 <= self.t <= self.k + 1:
                 raise ParameterError(
                     f"daisy requires 1 <= t <= k+1, got t={self.t}, k={self.k}")
-        elif self.kind == "s6":
-            pass
-        elif self.kind == "custom":
-            if self.k is None or self.n is None or self.edges is None:
-                raise ParameterError("custom spec requires k, n and edges")
-        else:
+        elif self.kind != "s6":
             raise ParameterError(f"unknown family kind {self.kind!r}")
 
     @classmethod
@@ -153,21 +147,6 @@ class FamilySpec:
     @classmethod
     def s6(cls) -> "FamilySpec":
         return cls("s6")
-
-    @classmethod
-    def custom(cls, graph: Hypergraph) -> "FamilySpec":
-        return cls("custom", k=graph.k, n=graph.n, edges=graph.edges)
-
-    def describe(self) -> str:
-        if self.kind == "complete":
-            return f"K:{self.ell},{self.k}"
-        if self.kind == "complete-minus":
-            return f"K-:{self.ell},{self.k}"
-        if self.kind == "daisy":
-            return f"D:{self.t},{self.k}"
-        if self.kind == "s6":
-            return "S6"
-        return f"custom(k={self.k}, n={self.n}, e={len(self.edges or ())})"
 
 
 def build_named(spec: FamilySpec) -> Hypergraph:
@@ -187,9 +166,7 @@ def build_named(spec: FamilySpec) -> Hypergraph:
     if spec.kind == "daisy":
         edges = list(combinations(range(spec.k + 1), spec.k))[: spec.t]
         return Hypergraph(spec.k, spec.k + 1, tuple(edges))
-    if spec.kind == "s6":
-        return Hypergraph(3, 6, S6_EDGES)
-    return from_edges(spec.k, spec.n, spec.edges)
+    return Hypergraph(3, 6, S6_EDGES)
 
 
 def induced(h: Hypergraph, vertices: Iterable[int]) -> Hypergraph:

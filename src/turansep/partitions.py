@@ -49,10 +49,6 @@ class BalancedParts:
 
 @dataclass(frozen=True)
 class ExpectationReport:
-    n: int
-    k: int
-    t0: int
-    trials: int
     seed: int
     empirical_mean: float
     exact_expectation: Fraction
@@ -89,16 +85,18 @@ def sample_parts(n: int, k: int, t0: int, seed) -> BalancedParts:
 def enumerate_balanced_parts(n: int, k: int, t0: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All ordered choices of k disjoint s-sets, in lexicographic order."""
     s = _validate(n, k, t0)
+    yield from _extend_parts((), tuple(range(n)), k, s)
 
-    def rec(chosen: tuple, available: tuple):
-        if len(chosen) == k:
-            yield chosen
-            return
-        for part in combinations(available, s):
-            rest = tuple(v for v in available if v not in part)
-            yield from rec(chosen + (part,), rest)
 
-    yield from rec((), tuple(range(n)))
+def _extend_parts(chosen: tuple, available: tuple, k: int, s: int):
+    """The choices of enumerate_balanced_parts that start with chosen, its
+    further parts drawn from available."""
+    if len(chosen) == k:
+        yield chosen
+        return
+    for part in combinations(available, s):
+        rest = tuple(v for v in available if v not in part)
+        yield from _extend_parts(chosen + (part,), rest, k, s)
 
 
 def crossing_count(h: Hypergraph, parts: BalancedParts) -> int:
@@ -143,10 +141,6 @@ def expectation_check(
     stderr = (var / trials) ** 0.5
     z = (mean - float(exact)) / stderr if stderr > 0 else 0.0
     return ExpectationReport(
-        n=n,
-        k=k,
-        t0=t0,
-        trials=trials,
         seed=seed,
         empirical_mean=mean,
         exact_expectation=exact,

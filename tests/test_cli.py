@@ -380,6 +380,24 @@ def _run_captured(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# stdout of each command, frozen byte for byte: report fields are added or
+# dropped on purpose only, never as a side effect of a library change
+_REPORTS = Path(__file__).parent / "reports"
+
+
+@pytest.mark.parametrize("threads", ["1", "8"])
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("name, argv, code", [
+    ("turan_7_K4", ["turan", "7", "K:4,3"], 0),
+    ("turan_10_S6_budget_10", ["turan", "10", "S6", "--budget", "10"], 3),
+    ("separate_K5_K4", ["separate", "K:5,3", "K:4,3"], 0),
+])
+def test_reports_pinned(name, argv, code, fmt, threads):
+    expected = (_REPORTS / f"{name}.{fmt}").read_text()
+    argv = argv + (["--json"] if fmt == "json" else []) + ["--threads", threads]
+    assert _run_captured(argv) == (code, expected, "")
+
+
 def _check_exit_contract(argv):
     code, out, err = _run_captured(argv + ["--threads", "1"])
     assert code in (0, 1, 2, 3), argv

@@ -7,7 +7,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from turansep.constructions import iterated_blowup_s6
+from turansep.constructions import SixPartParams, iterated_blowup_s6, six_part_h
+from turansep.criteria import check_condition2
 from turansep.embed import (
     Embedding,
     _vertex_order,
@@ -22,6 +23,7 @@ from turansep.embed import (
 from turansep.errors import ParameterError
 from turansep.exact import random_maximal_free, turan_number
 from turansep.hypergraph import FamilySpec, Hypergraph, build_named, from_edges
+from turansep.partitions import enumerate_balanced_parts
 
 
 def K(ell, k):
@@ -193,8 +195,8 @@ def test_contains_matches_search_oracle(pair):
 
 
 def test_searches_leave_no_reference_cycles():
-    # a call that leaves a cycle keeps its graphs or copy index alive until
-    # the next full collection
+    # a call that leaves a cycle keeps its graphs, copy index or memo alive
+    # until the next full collection
     hosts = [random_maximal_free(15, Km(5, 3), s) for s in range(10)]
     gc.collect()
     gc.disable()
@@ -204,6 +206,11 @@ def test_searches_leave_no_reference_cycles():
             random_maximal_free(15, Km(5, 3), s)
         turan_number(6, K(4, 3))
         turan_number(10, S6, budget=10)
+        iterated_blowup_s6(36)
+        six_part_h(SixPartParams((7, 7, 9, 7, 7, 9)))
+        check_condition2(Km(9, 6), K(8, 6))
+        check_condition2(Km(9, 5), K(8, 5))
+        list(enumerate_balanced_parts(6, 3, 3))
         assert gc.collect() == 0
     finally:
         gc.enable()
