@@ -13,11 +13,12 @@ assignments as base-k counters (vertex 0 the most significant digit),
 keeping each part as a vertex mask.  An edge is fully assigned once its
 last vertex is, so a prefix is cut as soon as such an edge's vertex mask
 misses V_1.  Parts may be empty, and a partition with an empty V_j,
-j >= 2, passes automatically since F - ∅ = F ⊇ F'.  Parts 2..k play symmetric roles, so
-by default only assignments whose non-first labels appear in increasing
-first-occurrence order are enumerated; the unpruned enumerator is kept for
-cross-checks and returns the same verdict and, up to part relabeling, the
-same first violating partition.
+j >= 2, passes automatically since F - ∅ = F ⊇ F'.  Parts 2..k play
+symmetric roles, so only assignments whose non-first labels appear in
+increasing first-occurrence order are enumerated; relabeling parts 2..k
+keeps a violation, so the first one found is the first in base-k order.
+F' ⊆ F - V_j is decided by the copy search on F's own links over the
+vertices outside V_j, memoized on the mask of V_j.
 """
 
 from __future__ import annotations
@@ -106,9 +107,7 @@ def check_condition1(
     )
 
 
-def check_condition2(
-    f: Hypergraph, f_sub: Hypergraph, dedup: bool = True
-) -> Condition2Result:
+def check_condition2(f: Hypergraph, f_sub: Hypergraph) -> Condition2Result:
     """Evaluate condition (2) for the pair (F, F'); F' ⊆ F is required.
 
     On failure the counterexample is the first violating partition in
@@ -122,6 +121,9 @@ def check_condition2(
     ending_at: list[list[int]] = [[] for _ in range(m)]
     for e in f.edges:
         ending_at[e[-1]].append(sum(1 << v for v in e))
+    edge_masks = [e for masks in ending_at for e in masks]
+    tree = embed._compile(f_sub)[1]
+    full = (1 << m) - 1
 
     # memoized containment of F' in F - V_j, keyed on the removed set
     memo: dict[int, bool] = {}
@@ -129,38 +131,35 @@ def check_condition2(
     def contained_after_removing(part_mask: int) -> bool:
         hit = memo.get(part_mask)
         if hit is None:
-            removed = [v for v in range(m) if part_mask >> v & 1]
-            hit = embed.contains(delete(f, removed), f_sub) is not None
-            memo[part_mask] = hit
+            # F - V_j needs v(F') vertices and e(F') edges before the search
+            hit = memo[part_mask] = (
+                m - part_mask.bit_count() >= f_sub.n
+                and sum(not e & part_mask for e in edge_masks) >= f_sub.edge_count
+                and embed._extend(tree, f.links, [], full ^ part_mask))
         return hit
 
     part_masks = [0] * k
     checked = 0
     violation: list[Partition] = []
 
-    def visit_leaf() -> bool:
-        nonlocal checked
-        checked += 1
-        for j in range(1, k):
-            if part_masks[j] == 0 or contained_after_removing(part_masks[j]):
-                return True
-        violation.append(tuple(
-            tuple(v for v in range(m) if part >> v & 1) for part in part_masks))
-        return False
-
     def enumerate_from(v: int, used_labels: int) -> bool:
+        nonlocal checked
         if v == m:
-            return visit_leaf()
-        top = k if not dedup else min(used_labels + 2, k)
+            checked += 1
+            if any(not p or contained_after_removing(p) for p in part_masks[1:]):
+                return True
+            violation.append(tuple(
+                tuple(u for u in range(m) if p >> u & 1) for p in part_masks))
+            return False
+        # v in part 1 passes the filter, as the edges ending at v contain v;
+        # v in parts 2..k passes only if those edges already meet part 1
+        top = min(used_labels + 2, k) if all(
+            e & part_masks[0] for e in ending_at[v]) else 1
         bit = 1 << v
         for label in range(top):
             part_masks[label] |= bit
-            # an edge fully assigned outside part 1 fails the filter, so no
-            # partition in this subtree qualifies
-            if all(e & part_masks[0] for e in ending_at[v]):
-                next_used = used_labels if label == 0 else max(used_labels, label)
-                if not enumerate_from(v + 1, next_used):
-                    return False
+            if not enumerate_from(v + 1, max(used_labels, label)):
+                return False
             part_masks[label] ^= bit
         return True
 

@@ -345,7 +345,6 @@ def _poly_scale(p, c):
 
 @dataclass(frozen=True)
 class ReferenceBound:
-    name: str
     exact: Quad | Fraction
     value: float
     kind: str  # "lower" | "upper"
@@ -354,15 +353,11 @@ class ReferenceBound:
 def reference_bounds() -> dict[str, ReferenceBound]:
     """Literature constants the new optimum is compared against."""
     chung_lu = Quad(Fraction(1, 4), Fraction(1, 12), 17)  # (3 + sqrt 17)/12
-    table = {
-        "chung_lu_k4_upper": ReferenceBound(
-            "chung_lu_k4_upper", chung_lu, float(chung_lu), "upper"),
-        "baber_k4_upper": ReferenceBound(
-            "baber_k4_upper", Fraction(5615, 10000), 0.5615, "upper"),
+    de_caen = de_caen_bound(4, 3)
+    return {
+        "chung_lu_k4_upper": ReferenceBound(chung_lu, float(chung_lu), "upper"),
+        "baber_k4_upper": ReferenceBound(Fraction(5615, 10000), 0.5615, "upper"),
         "bcl_k5minus_lower": ReferenceBound(
-            "bcl_k5minus_lower", Fraction(58656, 100000), 0.58656, "lower"),
-        "de_caen_k4_upper": ReferenceBound(
-            "de_caen_k4_upper", de_caen_bound(4, 3), float(de_caen_bound(4, 3)),
-            "upper"),
+            Fraction(58656, 100000), 0.58656, "lower"),
+        "de_caen_k4_upper": ReferenceBound(de_caen, float(de_caen), "upper"),
     }
-    return table

@@ -8,7 +8,8 @@ F's vertices in descending degree order, one at a time, and reads
 an edge: the candidates for the next vertex are the unused vertices ANDed
 with the links of the images of its F-edges' other k-1 vertices (the
 edges whose last vertex in the order it is), tried lowest first.  The
-same routine, ``_extend``, serves the greedy ``exact.random_maximal_free``.
+same routine, ``_extend``, serves the greedy ``exact.random_maximal_free``
+and condition (2), run there on F's links over the vertices outside a part.
 
 The r-subset scan has one code path for every uniformity k.  It walks
 the (r-1)-subset prefixes in lex order and reads the same links: the edges
@@ -91,22 +92,27 @@ def _extend(node: dict, links: dict[tuple[int, ...], int], phi: list[int],
     return False
 
 
+def _compile(f: Hypergraph) -> tuple[dict[int, int], dict]:
+    """Each vertex's position in _vertex_order, and F's step tree."""
+    pos = {v: i for i, v in enumerate(_vertex_order(f))}
+    # an F-edge constrains the image of its last vertex in the order,
+    # through the positions of its other k-1 vertices
+    steps: list[list[tuple[int, ...]]] = [[] for _ in pos]
+    for e in f.edges:
+        ps = sorted(pos[v] for v in e)
+        steps[ps[-1]].append(tuple(ps[:-1]))
+    return pos, _step_tree([map(tuple, steps)])
+
+
 def contains(h: Hypergraph, f: Hypergraph) -> Embedding | None:
     """First embedding of F into H in deterministic search order, if any."""
     if h.k != f.k:
         raise ParameterError(f"uniformity mismatch: H has k={h.k}, F has k={f.k}")
     if f.n > h.n or f.edge_count > h.edge_count:
         return None
-    order = _vertex_order(f)
-    pos = {v: i for i, v in enumerate(order)}
-    # an F-edge constrains the image of its last vertex in `order`, through
-    # the positions of its other k-1 vertices
-    steps: list[list[tuple[int, ...]]] = [[] for _ in order]
-    for e in f.edges:
-        ps = sorted(pos[v] for v in e)
-        steps[ps[-1]].append(tuple(ps[:-1]))
+    pos, tree = _compile(f)
     phi: list[int] = []
-    if not _extend(_step_tree([map(tuple, steps)]), h.links, phi, (1 << h.n) - 1):
+    if not _extend(tree, h.links, phi, (1 << h.n) - 1):
         return None
     return Embedding(tuple(phi[pos[v]] for v in range(f.n)))
 
