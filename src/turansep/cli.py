@@ -29,11 +29,10 @@ from .errors import BudgetExceededError, ParameterError, ParseError
 from .hypergraph import FamilySpec, Hypergraph, build_named, parse, serialize
 
 
-def parse_family_token(token: str) -> tuple[FamilySpec | None, Hypergraph]:
-    """Resolve a family token or file path to (spec-if-named, hypergraph)."""
+def parse_family_token(token: str) -> Hypergraph:
+    """Resolve a family token or file path to its hypergraph."""
     if token == "S6":
-        spec = FamilySpec.s6()
-        return spec, build_named(spec)
+        return build_named(FamilySpec.s6())
     for prefix, maker in (("K-:", FamilySpec.complete_minus),
                           ("K:", FamilySpec.complete),
                           ("D:", FamilySpec.daisy)):
@@ -44,8 +43,7 @@ def parse_family_token(token: str) -> tuple[FamilySpec | None, Hypergraph]:
             except ValueError:
                 raise ParameterError(
                     f"malformed family token {token!r}; expected {prefix}a,b")
-            spec = maker(a, k)
-            return spec, build_named(spec)
+            return build_named(maker(a, k))
     path = Path(token)
     if not path.exists():
         raise ParameterError(f"{token!r} is neither a family token nor a file")
@@ -53,7 +51,7 @@ def parse_family_token(token: str) -> tuple[FamilySpec | None, Hypergraph]:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {token!r}: {exc}") from None
-    return None, parse(text)
+    return parse(text)
 
 
 def _fmt(value):
@@ -129,15 +127,15 @@ def _graph_summary(name: str, h: Hypergraph, token: str) -> dict:
 
 
 def cmd_build(args):
-    _, h = parse_family_token(args.family)
+    h = parse_family_token(args.family)
     payload = {"command": "build", "version": __version__}
     payload.update(_graph_summary("input", h, args.family))
     return payload, 0, h
 
 
 def cmd_contains(args):
-    _, h = parse_family_token(args.host)
-    _, f = parse_family_token(args.target)
+    h = parse_family_token(args.host)
+    f = parse_family_token(args.target)
     emb = embed.contains(h, f)
     payload = {"command": "contains", "version": __version__,
                "found": emb is not None}
@@ -149,9 +147,9 @@ def cmd_contains(args):
 
 
 def cmd_free_check(args):
-    _, h = parse_family_token(args.host)
-    spec, f = parse_family_token(args.target)
-    method, violation = embed.check_free(h, f, spec)
+    h = parse_family_token(args.host)
+    f = parse_family_token(args.target)
+    method, violation = embed.check_free(h, f)
     payload = {"command": "free-check", "version": __version__,
                "method": method, "free": violation is None}
     payload.update(_graph_summary("host", h, args.host))
@@ -165,7 +163,7 @@ def cmd_free_check(args):
 
 
 def cmd_turan(args):
-    _, f = parse_family_token(args.family)
+    f = parse_family_token(args.family)
     result = exact.turan_number(args.n, f, budget=args.budget)
     payload = {
         "command": "turan", "version": __version__,
@@ -197,8 +195,8 @@ def _condition2_payload(r: criteria.Condition2Result) -> dict:
 
 
 def cmd_condition1(args):
-    _, f = parse_family_token(args.family)
-    _, fs = parse_family_token(args.subfamily)
+    f = parse_family_token(args.family)
+    fs = parse_family_token(args.subfamily)
     r = criteria.check_condition1(f, fs, budget=args.budget)
     payload = {"command": "condition1", "version": __version__,
                "f": args.family, "f_sub": args.subfamily,
@@ -209,8 +207,8 @@ def cmd_condition1(args):
 
 
 def cmd_condition2(args):
-    _, f = parse_family_token(args.family)
-    _, fs = parse_family_token(args.subfamily)
+    f = parse_family_token(args.family)
+    fs = parse_family_token(args.subfamily)
     r = criteria.check_condition2(f, fs)
     payload = {"command": "condition2", "version": __version__,
                "f": args.family, "f_sub": args.subfamily,
@@ -219,8 +217,8 @@ def cmd_condition2(args):
 
 
 def cmd_separate(args):
-    _, f = parse_family_token(args.family)
-    _, fs = parse_family_token(args.subfamily)
+    f = parse_family_token(args.family)
+    fs = parse_family_token(args.subfamily)
     report = criteria.separate(f, fs, budget=args.budget)
     payload = {
         "command": "separate", "version": __version__,
@@ -245,13 +243,13 @@ def cmd_construct(args):
     elif args.builder == "blowup":
         if not args.params:
             raise ParameterError("blowup needs a base family and part sizes")
-        _, base = parse_family_token(args.params[0])
+        base = parse_family_token(args.params[0])
         sizes = tuple(_int(x) for x in args.params[1:])
         h = constructions.blowup(constructions.BlowupSpec(base, sizes))
     elif args.builder == "augment":
         if not args.params:
             raise ParameterError("augment needs a hypergraph file")
-        _, base = parse_family_token(args.params[0])
+        base = parse_family_token(args.params[0])
         h = constructions.augment_matching(base)
         payload["added_edges"] = h.edge_count - base.edge_count
     else:
@@ -306,7 +304,7 @@ def cmd_densopt(args):
 
 
 def cmd_crossing(args):
-    _, h = parse_family_token(args.host)
+    h = parse_family_token(args.host)
     report = partitions.expectation_check(
         h, args.t0, trials=args.trials, seed=_seed(args))
     payload = {

@@ -264,8 +264,7 @@ def augment_matching(h: Hypergraph, d: Matching5 | None = None) -> Hypergraph:
     """
     if h.k != 3:
         raise ParameterError(f"augmentation applies to 3-graphs, got k={h.k}")
-    k4 = FamilySpec.complete(4, 3)
-    if not embed.is_free(h, build_named(k4), k4):
+    if not embed.is_free(h, build_named(FamilySpec.complete(4, 3))):
         raise ParameterError("input graph contains a complete 4-vertex 3-graph")
     if d is None:
         d = Matching5.consecutive(h.n)

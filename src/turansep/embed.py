@@ -16,7 +16,8 @@ the (r-1)-subset prefixes in lex order and reads the same links: the edges
 inside a prefix come from popcounts of its (k-1)-subsets' links, and a
 small at-least-j pass over the link masks above the prefix finds the
 lowest last vertex that pushes the count over the threshold.
-``check_free`` picks between that scan and the embedding search.
+``check_free`` picks between that scan and the embedding search from F's
+structure alone (``threshold_free_params``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import ParameterError
-from .hypergraph import FamilySpec, Hypergraph
+from .hypergraph import Hypergraph
 
 
 @dataclass(frozen=True)
@@ -118,29 +119,29 @@ def contains(h: Hypergraph, f: Hypergraph) -> Embedding | None:
 
 
 def check_free(
-    h: Hypergraph, f: Hypergraph, spec: FamilySpec | None = None
+    h: Hypergraph, f: Hypergraph
 ) -> tuple[str, tuple[tuple[int, ...], int] | Embedding | None]:
     """Decide F-freeness of H; returns (method, violation).
 
-    When spec names a family with threshold parameters (see
-    threshold_free_params) and F fits in H, the method is ``subset-scan``
-    and a violation is the lex-first (subset, spanned count).  Otherwise
-    the method is ``embedding-search`` and a violation is the first
-    Embedding.  The violation is None exactly when H is F-free.  spec,
-    when given, must describe F.
+    When F has threshold parameters (see threshold_free_params) and fits
+    in H, the method is ``subset-scan`` and a violation is the lex-first
+    (subset, spanned count).  Otherwise the method is ``embedding-search``
+    and a violation is the first Embedding.  The violation is None exactly
+    when H is F-free.  The choice depends on F's structure alone, so a
+    named family and a file holding the same graph get the same report.
     """
     if h.k != f.k:
         raise ParameterError(
             f"uniformity mismatch: host has k={h.k}, target has k={f.k}")
-    params = threshold_free_params(spec) if spec else None
+    params = threshold_free_params(f)
     if params and f.n <= h.n:
         return "subset-scan", spanned_edge_violation(h, *params)
     return "embedding-search", contains(h, f)
 
 
-def is_free(h: Hypergraph, f: Hypergraph, spec: FamilySpec | None = None) -> bool:
+def is_free(h: Hypergraph, f: Hypergraph) -> bool:
     """True iff H contains no copy of F."""
-    return check_free(h, f, spec)[1] is None
+    return check_free(h, f)[1] is None
 
 
 def spanned_edge_violation(
@@ -190,17 +191,18 @@ def spanned_edge_threshold_free(h: Hypergraph, r: int, max_edges: int) -> bool:
     return spanned_edge_violation(h, r, max_edges) is None
 
 
-def threshold_free_params(spec: FamilySpec) -> tuple[int, int] | None:
+def threshold_free_params(f: Hypergraph) -> tuple[int, int] | None:
     """(r, max_edges) such that F-freeness equals the r-subset threshold test.
 
-    Complete, complete-minus and daisy targets admit such a reduction: a
-    copy of any of them lives on exactly r vertices and needs only enough
-    edges spanned there.  Other families return None.
+    When every e(F)-edge k-graph on v(F) vertices is a copy of F, H holds
+    F iff some v(F)-subset spans e(F) edges, so the answer is (v(F),
+    e(F) - 1).  That is so for v(F) = k + 1, and for v(F) >= k + 2 exactly
+    when e(F) <= 1 or e(F) >= C(v(F), k) - 1 (Livingstone and Wagner,
+    Math. Z. 1965); complete, complete-minus and daisy targets qualify.  A
+    single edge on k + 2 or more vertices and an edgeless F get None: the
+    scan would walk every v(F)-subset, the search stops at the first.
     """
-    if spec.kind == "complete":
-        return spec.ell, comb(spec.ell, spec.k) - 1
-    if spec.kind == "complete-minus":
-        return spec.ell, comb(spec.ell, spec.k) - 2
-    if spec.kind == "daisy":
-        return spec.k + 1, spec.t - 1
+    e = f.edge_count
+    if e and (e >= comb(f.n, f.k) - 1 or f.n == f.k + 1):
+        return f.n, e - 1
     return None

@@ -40,10 +40,10 @@ strict, so the search tree is a subtree of the one without packing, in
 the same order, and the witness is unchanged.
 
 One further layer does not change returned values: at the root, only the
-first branch is explored (root_symmetry).  Any optimum relabels, by a
-vertex permutation, to one containing the first candidate edge, and that
-relabeling also preserves the lexicographically smallest optimal edge
-list, which is the witness tie-break.
+first branch is explored.  Any optimum relabels, by a vertex permutation,
+to one containing the first candidate edge, and that relabeling also
+preserves the lexicographically smallest optimal edge list, which is the
+witness tie-break.
 
 CopyIndex is the exact search's alone.  The seeded greedy
 random_maximal_free builds none: it walks the shuffled candidates, keeps
@@ -227,7 +227,6 @@ def turan_number(
     n: int,
     f: Hypergraph,
     budget: int = DEFAULT_BUDGET,
-    root_symmetry: bool = True,
 ) -> TuranResult:
     """Maximum edge count of an F-free k-graph on n vertices.
 
@@ -310,7 +309,7 @@ def turan_number(
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + len(cand))
     try:
-        if root_alive and root_symmetry:
+        if root_alive:
             # sound cut: some optimum (and the lex-min one) contains cand[j0]
             low = root_alive & -root_alive
             j0 = low.bit_length() - 1

@@ -30,14 +30,11 @@ def invoke(capsys, *argv):
 
 
 def test_parse_family_tokens():
-    spec, h = parse_family_token("K:5,3")
-    assert spec == FamilySpec.complete(5, 3) and h.edge_count == 10
-    spec, h = parse_family_token("K-:5,3")
-    assert h.edge_count == 9
-    spec, h = parse_family_token("D:2,4")
+    assert parse_family_token("K:5,3") == build_named(FamilySpec.complete(5, 3))
+    assert parse_family_token("K-:5,3").edge_count == 9
+    h = parse_family_token("D:2,4")
     assert h.n == 5 and h.edge_count == 2
-    spec, h = parse_family_token("S6")
-    assert h.edge_count == 10
+    assert parse_family_token("S6").edge_count == 10
     with pytest.raises(ParameterError):
         parse_family_token("K:5")
     with pytest.raises(ParameterError):
@@ -77,14 +74,17 @@ def test_free_check_exit_codes(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["method"] == "subset-scan"
     assert payload["violation"]["subset"] == [0, 1, 2, 3]
-    # the same target as a file carries no family spec: search, same verdicts
+    # the method follows the target graph, not how it was named: the same
+    # target as a file gets the same method and violation
     k4_file = tmp_path / "k4.hg"
     k4_file.write_text(serialize(build_named(FamilySpec.complete(4, 3))))
     code, out = invoke(capsys, "free-check", "S6", str(k4_file))
-    assert code == 0 and "method: embedding-search" in out
+    assert code == 0 and "method: subset-scan" in out
     code, out = invoke(capsys, "free-check", "K:5,3", str(k4_file), "--json")
     assert code == 1
-    assert json.loads(out)["violation"] == {"embedding": [0, 1, 2, 3]}
+    payload = json.loads(out)
+    assert payload["method"] == "subset-scan"
+    assert payload["violation"] == {"subset": [0, 1, 2, 3], "spanned": 4}
 
 
 def test_free_check_embedding_path(capsys):
@@ -354,6 +354,8 @@ def _tokens(k):
 
 @st.composite
 def _fuzz_argv(draw):
+    """A command line, and whether its last family (the target, or the
+    family of turan) is also run as a file holding its graph."""
     # both families usually share k, so that pairs often get past parsing
     k = draw(st.integers(1, 5))
     command = draw(st.sampled_from(
@@ -370,7 +372,7 @@ def _fuzz_argv(draw):
     argv += ["--budget", str(draw(st.integers(1, 200)))]
     if draw(st.booleans()):
         argv.append("--json")
-    return argv
+    return argv, draw(st.booleans())
 
 
 def _run_captured(argv):
@@ -391,6 +393,8 @@ _REPORTS = Path(__file__).parent / "reports"
     ("turan_7_K4", ["turan", "7", "K:4,3"], 0),
     ("turan_10_S6_budget_10", ["turan", "10", "S6", "--budget", "10"], 3),
     ("separate_K5_K4", ["separate", "K:5,3", "K:4,3"], 0),
+    ("free_check_K5_K4", ["free-check", "K:5,3", "K:4,3"], 1),
+    ("free_check_S6_K4minus", ["free-check", "S6", "K-:4,3"], 0),
 ])
 def test_reports_pinned(name, argv, code, fmt, threads):
     expected = (_REPORTS / f"{name}.{fmt}").read_text()
@@ -405,10 +409,45 @@ def _check_exit_contract(argv):
     assert _run_captured(argv + ["--threads", "8"]) == (code, out, err), argv
 
 
+def _without_echoes(out):
+    """A report without the fields that echo a family argument as typed."""
+    echoes = ("family", "f", "f_sub")
+    if out.startswith("{"):
+        payload = json.loads(out)
+        for key in echoes:
+            payload.pop(key, None)
+        for value in payload.values():
+            if isinstance(value, dict):
+                value.pop("token", None)
+        return payload
+    return [line for line in out.splitlines()
+            if not (line.partition(":")[0] in echoes
+                    or line.partition(":")[0].endswith(".token"))]
+
+
+def _check_file_family(argv):
+    """The family at argv[2] given as a file holding its graph gets the
+    token's exit code and report, but for the echoed argument."""
+    try:
+        h = parse_family_token(argv[2])
+    except ParameterError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "family.hg"
+        path.write_text(serialize(h))
+        file_argv = argv[:2] + [str(path)] + argv[3:]
+        code, out, _ = _run_captured(argv)
+        file_code, file_out, _ = _run_captured(file_argv)
+    assert (file_code, _without_echoes(file_out)) == (code, _without_echoes(out)), argv
+
+
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(_fuzz_argv())
-def test_cli_fuzz_exit_contract(argv):
+def test_cli_fuzz_exit_contract(case):
+    argv, as_file = case
     _check_exit_contract(argv)
+    if as_file:
+        _check_file_family(argv)
 
 
 def _params(draw, count, top=3):

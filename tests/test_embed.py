@@ -3,6 +3,7 @@
 import gc
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,7 @@ from turansep.embed import (
     validate_embedding,
 )
 from turansep.errors import ParameterError
-from turansep.exact import random_maximal_free, turan_number
+from turansep.exact import _labelings, random_maximal_free, turan_number
 from turansep.hypergraph import FamilySpec, Hypergraph, build_named, from_edges
 from turansep.partitions import enumerate_balanced_parts
 
@@ -63,15 +64,14 @@ def test_is_free_examples():
     assert is_free(Hypergraph(3, 6, ()), S6)
     # the target does not fit in the host, so no scan is possible
     tight = Hypergraph(3, 3, ((0, 1, 2),))
-    k4 = FamilySpec.complete(4, 3)
-    assert check_free(tight, K(4, 3), k4) == ("embedding-search", None)
+    assert check_free(tight, K(4, 3)) == ("embedding-search", None)
 
 
 def test_uniformity_mismatch():
     with pytest.raises(ParameterError):
         contains(K(5, 3), K(5, 4))
     with pytest.raises(ParameterError):
-        check_free(K(5, 3), K(5, 4), FamilySpec.complete(5, 4))
+        check_free(K(5, 3), K(5, 4))
 
 
 def test_embedding_maps_isolated_vertices():
@@ -190,6 +190,7 @@ def test_contains_matches_search_oracle(pair):
     h, f = pair
     emb = contains(h, f)
     assert emb == _contains_oracle(h, f)
+    assert is_free(h, f) == (emb is None)
     if emb is not None:
         assert validate_embedding(h, f, emb)
 
@@ -274,9 +275,39 @@ def test_generic_scan_path_k4():
 
 
 def test_threshold_free_params():
-    from math import comb
+    # the named families keep the parameters their definitions give
+    for k in range(2, 7):
+        for ell in range(k + 1, k + 6):
+            edges = comb(ell, k)
+            assert threshold_free_params(K(ell, k)) == (ell, edges - 1)
+            assert threshold_free_params(Km(ell, k)) == (ell, edges - 2)
+        for t in range(1, k + 2):
+            daisy = build_named(FamilySpec.daisy(t, k))
+            assert threshold_free_params(daisy) == (k + 1, t - 1)
+    assert threshold_free_params(S6) is None
+    assert threshold_free_params(Hypergraph(3, 4, ())) is None
+    # a single edge with room for loose vertices stays on the search
+    assert threshold_free_params(from_edges(3, 5, [(0, 1, 2)])) is None
 
-    assert threshold_free_params(FamilySpec.complete(5, 3)) == (5, comb(5, 3) - 1)
-    assert threshold_free_params(FamilySpec.complete_minus(5, 3)) == (5, 8)
-    assert threshold_free_params(FamilySpec.daisy(3, 4)) == (5, 2)
-    assert threshold_free_params(FamilySpec.s6()) is None
+
+def test_threshold_free_params_match_labelings():
+    # parameters are given where every e-edge k-graph on v vertices is a
+    # copy of F, that is where F has C(C(v, k), e) labelings, and for two
+    # edges or more nowhere else; the first e k-subsets in lex order stand
+    # for every F of that size
+    checked = 0
+    for k in (2, 3, 4):
+        for v in range(k, 10):
+            subsets = list(combinations(range(v), k))
+            if len(subsets) > 40:
+                break
+            for e in range(1, len(subsets) + 1):
+                f = from_edges(k, v, subsets[:e])
+                params = threshold_free_params(f)
+                if params is not None:
+                    assert params == (v, e - 1)
+                    assert len(_labelings(f)) == comb(len(subsets), e)
+                    checked += 1
+                elif e > 1:
+                    assert len(_labelings(f)) < comb(len(subsets), e)
+    assert checked == 37
