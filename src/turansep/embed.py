@@ -11,11 +11,14 @@ edges whose last vertex in the order it is), tried lowest first.  The
 same routine, ``_extend``, serves the greedy ``exact.random_maximal_free``
 and condition (2), run there on F's links over the vertices outside a part.
 
-The r-subset scan has one code path for every uniformity k.  It walks
-the (r-1)-subset prefixes in lex order and reads the same links: the edges
-inside a prefix come from popcounts of its (k-1)-subsets' links, and a
-small at-least-j pass over the link masks above the prefix finds the
-lowest last vertex that pushes the count over the threshold.
+The r-subset scan has one code path for every uniformity k.  An r-subset
+violates the threshold when it misses at most the slack C(r, k) -
+max_edges - 1 of its k-subsets, so the scan is a depth-first search over
+prefixes in lex order that cuts a prefix once it misses more than that.
+It reads the same links: each prefix keeps, for j up to the slack it has
+left, the mask of vertices lying in all but at most j of the links of its
+(k-1)-subsets.  The last of those masks gives the candidates for the next
+vertex, and a child folds in only the links through its new vertex.
 ``check_free`` picks between that scan and the embedding search from F's
 structure alone (``threshold_free_params``).
 """
@@ -144,42 +147,76 @@ def is_free(h: Hypergraph, f: Hypergraph) -> bool:
     return check_free(h, f)[1] is None
 
 
+def _complete(links: dict[tuple[int, ...], int], k: int, r: int, n: int,
+              prefix: tuple[int, ...], miss: list[int], c: int
+              ) -> tuple[tuple[int, ...], int] | None:
+    """Lex-first completion of prefix to an r-subset missing at most the
+    slack in k-subsets, as (subset, slack left over), or None.
+
+    len(miss) - 1 is the slack the prefix leaves, and miss[j] holds the
+    vertices w for which adding w misses at most j more k-subsets: w lies
+    in all but at most j of the links of the prefix's (k-1)-subsets.  c
+    holds the candidates for the next vertex: miss[-1] cut to the vertices
+    above the prefix that leave room for the rest.  A child keeps the
+    levels within its own slack and folds in the links of the
+    (k-1)-subsets through its new vertex.  A module function rather than
+    a closure, for the reason _extend gives.
+    """
+    d, slack = len(prefix), len(miss) - 1
+    subs = list(combinations(prefix, k - 2))
+    # the vertex after v lies above it and leaves room for r - d - 2 more
+    room = (1 << n - r + d + 2) - 1
+    while c:
+        low = c & -c
+        c ^= low
+        j = 0
+        while not miss[j] & low:
+            j += 1
+        v = low.bit_length() - 1
+        if d + 1 == r:
+            return prefix + (v,), slack - j
+        child = miss[:slack - j + 1]
+        for u in subs:
+            m = links.get(u + (v,), 0)
+            for i in range(len(child) - 1, 0, -1):
+                child[i] = child[i] & m | child[i - 1]
+            child[0] &= m
+        cc = child[-1] >> v + 1 << v + 1 & room
+        if cc:
+            found = _complete(links, k, r, n, prefix + (v,), child, cc)
+            if found:
+                return found
+    return None
+
+
 def spanned_edge_violation(
     h: Hypergraph, r: int, max_edges: int
 ) -> tuple[tuple[int, ...], int] | None:
     """First r-subset (lexicographically) spanning more than max_edges edges.
 
     Returns (subset, spanned count) or None when every r-subset passes.
+    A violating r-subset misses at most the slack C(r, k) - max_edges - 1
+    of its k-subsets: 0 for a complete target, 1 for complete-minus and
+    k + 1 - t for a daisy D:t,k.  The search grows prefixes in lex order
+    and cuts a prefix once it misses more than the slack, which is sound
+    because a prefix only misses more k-subsets as it grows.  A cut
+    subtree holds no violation, so the first subset found is the
+    lex-first one.
     """
     if not h.k <= r <= h.n:
         raise ParameterError(f"need k <= r <= n, got k={h.k}, r={r}, n={h.n}")
-    k, links, full = h.k, h.links, (1 << h.n) - 1
-    # subsets are prefix + (v,) with v > max(prefix), in lex order
-    for prefix in combinations(range(h.n - 1), r - 1):
-        pmask = 0
-        for u in prefix:
-            pmask |= 1 << u
-        above = full >> (prefix[-1] + 1) << (prefix[-1] + 1)
-        inside = 0
-        masks = []  # per (k-1)-subset of prefix: the v that complete it
-        for t in combinations(prefix, k - 1):
-            link = links.get(t, 0)
-            inside += (link & pmask).bit_count()
-            if link & above:
-                masks.append(link & above)
-        count = inside // k  # each edge inside the prefix is seen k times
-        need = max(max_edges - count + 1, 0)
-        if need > len(masks):
-            continue
-        # hits[j]: the v above the prefix that lie in at least j masks
-        hits = [above] + [0] * need
-        for i, m in enumerate(masks):
-            for j in range(min(i + 1, need), 0, -1):
-                hits[j] |= hits[j - 1] & m
-        if hits[need]:
-            v = (hits[need] & -hits[need]).bit_length() - 1
-            return prefix + (v,), count + sum(m >> v & 1 for m in masks)
-    return None
+    # every subset spans more than -1 edges; the cap keeps the slack short
+    max_edges = max(max_edges, -1)
+    slack = comb(r, h.k) - max_edges - 1
+    if slack < 0:
+        return None
+    full = (1 << h.n) - 1
+    found = _complete(h.links, h.k, r, h.n, (), [full] * (slack + 1),
+                      full >> r - 1)
+    if found is None:
+        return None
+    subset, left = found
+    return subset, max_edges + 1 + left
 
 
 def spanned_edge_threshold_free(h: Hypergraph, r: int, max_edges: int) -> bool:

@@ -159,7 +159,7 @@ def test_criterion_5_six_part_freeness():
     assert exact_count(p, inner, between) == h.edge_count
     _report("criterion 5: six-part construction freeness",
             elapsed < 60.0,
-            f"{h.edge_count} edges, C(46,5) scan in {elapsed:.1f}s < 60s")
+            f"{h.edge_count} edges, five-subset scan in {elapsed:.1f}s < 60s")
 
 
 def test_criterion_6_component_constructions():

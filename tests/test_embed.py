@@ -207,7 +207,8 @@ def test_searches_leave_no_reference_cycles():
             random_maximal_free(15, Km(5, 3), s)
         turan_number(6, K(4, 3))
         turan_number(10, S6, budget=10)
-        iterated_blowup_s6(36)
+        assert spanned_edge_violation(iterated_blowup_s6(36), 4, 3) is None
+        assert spanned_edge_violation(K(6, 3), 4, 3) is not None
         six_part_h(SixPartParams((7, 7, 9, 7, 7, 9)))
         check_condition2(Km(9, 6), K(8, 6))
         check_condition2(Km(9, 5), K(8, 5))
@@ -263,6 +264,33 @@ def test_scan_matches_lex_first_oracle(h, extra):
         for max_edges in (most - 1, most, most - 1 - extra):
             assert (spanned_edge_violation(h, r, max_edges)
                     == _oracle_violation(h, r, max_edges))
+
+
+@st.composite
+def _near_extremal_hosts(draw):
+    # a maximal F-free graph sits at the threshold almost everywhere, and
+    # one or two added non-edges push some subsets just past it
+    f = draw(st.sampled_from([K(4, 3), Km(5, 3), build_named(FamilySpec.daisy(2, 3)),
+                              build_named(FamilySpec.daisy(3, 3))]))
+    h = random_maximal_free(draw(st.integers(6, 9)), f, draw(st.integers(0, 10**6)))
+    non_edges = [e for e in combinations(range(h.n), h.k) if e not in h.edge_set]
+    added = draw(st.lists(st.sampled_from(non_edges), max_size=2, unique=True))
+    return from_edges(h.k, h.n, [*h.edges, *added]), f
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_near_extremal_hosts())
+def test_scan_matches_oracle_on_near_extremal_hosts(pair):
+    h, f = pair
+    params = threshold_free_params(f)
+    assert spanned_edge_violation(h, *params) == _oracle_violation(h, *params)
+
+
+def test_scan_violations_pinned_at_benchmark_size():
+    h = six_part_h(SixPartParams((7, 7, 9, 7, 7, 9)))
+    assert spanned_edge_violation(h, 4, 3) == ((0, 2, 3, 7), 4)
+    assert spanned_edge_violation(h, 5, 7) == ((0, 1, 2, 3, 7), 8)
+    assert spanned_edge_violation(iterated_blowup_s6(36), 5, 8) is None
 
 
 def test_generic_scan_path_k4():
