@@ -83,16 +83,6 @@ def _flatten(payload, prefix="", out=None):
     return out
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (Fraction, Quad)):
-        return _fmt(value)
-    return value
-
-
 def emit_report(args, payload: dict, graph: Hypergraph | None = None) -> None:
     if graph is not None:
         text = serialize(graph)
@@ -102,7 +92,7 @@ def emit_report(args, payload: dict, graph: Hypergraph | None = None) -> None:
             body = dict(payload)
             if not args.out:
                 body["graph"] = text
-            print(json.dumps(_jsonable(body), sort_keys=True, indent=2))
+            print(json.dumps(body, sort_keys=True, indent=2, default=_fmt))
         elif args.out:
             print("\n".join(_flatten(payload)))
         else:
@@ -111,7 +101,7 @@ def emit_report(args, payload: dict, graph: Hypergraph | None = None) -> None:
             sys.stdout.write(text)
         return
     if args.json:
-        print(json.dumps(_jsonable(payload), sort_keys=True, indent=2))
+        print(json.dumps(payload, sort_keys=True, indent=2, default=_fmt))
     else:
         print("\n".join(_flatten(payload)))
 
@@ -227,6 +217,9 @@ def cmd_separate(args):
         "condition2": _condition2_payload(report.condition2),
         "verdict": report.verdict,
     }
+    if report.verdict != "separated" and report.condition1.holds is None:
+        # condition 2 failed, so only the cut condition 1 could separate
+        return payload, 3, None
     return payload, 0 if report.verdict == "separated" else 1, None
 
 
@@ -252,8 +245,6 @@ def cmd_construct(args):
         base = parse_family_token(args.params[0])
         h = constructions.augment_matching(base)
         payload["added_edges"] = h.edge_count - base.edge_count
-    else:
-        raise ParameterError(f"unknown builder {args.builder!r}")
     payload["result"] = {"k": h.k, "n": h.n, "edges": h.edge_count}
     return payload, 0, h
 

@@ -4,9 +4,13 @@ The search is branch and bound over the lexicographic list of all C(n, k)
 candidate edges.  Every copy of F inside the complete k-graph on [n] is
 precomputed as a bitmask over candidate-edge indices (CopyIndex).  Each
 copy's mask is one int, shared by the per-edge lists of all of its edges.
-Every F goes through one enumeration: its distinct labelings of [v(F)],
-found as the orbit of its edge set under the adjacent transpositions
-(a complete F has one), are mapped onto every v(F)-subset of [n].
+Every F goes through one enumeration: the distinct labelings of F without
+its isolated vertices, found as the orbit of its edge set under the
+adjacent transpositions (a complete F has one), are mapped onto every
+subset of [n] of its size.  Such a copy spans its subset, so each
+(subset, labeling) pair gives a distinct copy and each copy is found
+once.  The isolated vertices still need room: the index is empty when
+v(F) > n.
 
 The alive set of a node is a bitmask of the later candidates that can
 still be added without closing a copy of F.  Including candidate j can
@@ -49,13 +53,14 @@ CopyIndex is the exact search's alone.  The seeded greedy
 random_maximal_free builds none: it walks the shuffled candidates, keeps
 the links of the growing graph (each (k-1)-set mapped to the bitmask of
 the vertices completing it, as in Hypergraph.links) and adds a candidate
-e iff no copy of F runs through e.  Its anchors are F's labelings that
-contain the edge (0..k-1), one per class under relabelings of the rest
-vertices k..v(F)-1, found as components under the transpositions
-(i, i+1) with i >= k.  Each anchor maps (0..k-1) onto e and extends one
-rest vertex at a time through embed._extend, the copy search that
-embed.contains runs too: the candidates for a rest vertex are the unused
-vertices ANDed with the links of its edges' other k-1 vertices.
+e iff no copy of F runs through e.  Its anchors come from the same
+enumeration, run on F itself: the labelings that contain the edge
+(0..k-1), one per class under relabelings of the rest vertices
+k..v(F)-1, a class being an orbit under the transpositions (i, i+1) with
+i >= k.  Each anchor maps (0..k-1) onto e and extends one rest vertex
+at a time through embed._extend, the copy search that embed.contains
+runs too: the candidates for a rest vertex are the unused vertices
+ANDed with the links of its edges' other k-1 vertices.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ from itertools import combinations
 
 from .embed import _extend, _step_tree
 from .errors import BudgetExceededError, ParameterError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, induced
 
 DEFAULT_BUDGET = 10**8
 
@@ -98,11 +103,11 @@ def _swap_tables(v: int, k: int) -> tuple[dict[tuple[int, ...], int], list[list[
     return pos, swaps
 
 
-def _orbit(starts: list[tuple[int, ...]], swaps: list[list[int]]) -> list[tuple[int, ...]]:
-    """Every edge-position set reachable from starts through the swaps, in
+def _orbit(start: tuple[int, ...], swaps: list[list[int]]) -> list[tuple[int, ...]]:
+    """Every edge-position set reachable from start through the swaps, in
     breadth-first order."""
-    orbit = list(dict.fromkeys(starts))
-    seen = set(orbit)
+    orbit = [start]
+    seen = {start}
     for edges in orbit:
         for swap in swaps:
             image = tuple(sorted(swap[p] for p in edges))
@@ -120,7 +125,7 @@ def _labelings(f: Hypergraph) -> list[tuple[int, ...]]:
     (i, i+1), which generate every relabeling; a complete F has one.
     """
     pos, swaps = _swap_tables(f.n, f.k)
-    return _orbit([tuple(sorted(pos[e] for e in f.edges))], swaps)
+    return _orbit(tuple(sorted(pos[e] for e in f.edges)), swaps)
 
 
 def _anchors(f: Hypergraph) -> list[list[tuple[tuple[int, ...], ...]]]:
@@ -134,24 +139,14 @@ def _anchors(f: Hypergraph) -> list[list[tuple[tuple[int, ...], ...]]]:
     k = f.k
     pos, swaps = _swap_tables(f.n, k)
     subsets = list(pos)
-    # for each edge g of F, the labeling that sends g onto (0..k-1) in order
-    # and the other vertices onto k..v(F)-1 in order
-    starts = []
-    for g in f.edges:
-        label = {u: i for i, u in enumerate(
-            list(g) + [u for u in range(f.n) if u not in g])}
-        starts.append(tuple(sorted(
-            pos[tuple(sorted(label[u] for u in e))] for e in f.edges)))
-    # the swaps other than (k-1, k) generate the relabelings that fix the
-    # set {0..k-1}, so this orbit is every labeling containing (0..k-1)
     rest = swaps[k:]
-    containing = _orbit(starts, swaps[:k - 1] + rest)
     seen: set[tuple[int, ...]] = set()
     anchors = []
-    for edges in containing:
-        if edges in seen:
+    for edges in _labelings(f):
+        # positions ascend, and position 0 is the edge (0..k-1)
+        if edges[0] != 0 or edges in seen:
             continue
-        same_class = _orbit([edges], rest)
+        same_class = _orbit(edges, rest)
         seen.update(same_class)
         # the class member whose edges end earliest meets its constraints
         # at the lowest rest vertices, so the check prunes soonest
@@ -165,9 +160,9 @@ def _anchors(f: Hypergraph) -> list[list[tuple[tuple[int, ...], ...]]]:
 class CopyIndex:
     """Copies of F inside the complete k-graph on [n], as edge-index masks.
 
-    copies holds every copy's mask once, in the order they are found;
-    through[j] holds the masks of the copies using candidate edge j, each
-    one int shared by all of its edges.  Adding edge j to an F-free
+    copies lists every copy's mask, each found once, in the order they are
+    found; through[j] lists the masks of the copies using candidate edge j,
+    each one int shared by all of its edges.  Adding edge j to an F-free
     inclusion set creates a copy exactly when one of those masks has no
     edge outside the set and j.
     """
@@ -176,35 +171,27 @@ class CopyIndex:
         if f.edge_count == 0 and f.n <= n:
             raise ParameterError("F without edges is contained in every graph")
         self.cand: list[tuple[int, ...]] = list(combinations(range(n), f.k))
-        self.index = {e: i for i, e in enumerate(self.cand)}
-        # a helper, so that its set of seen masks is freed before the lists
-        # are copied into tuples: that keeps the peak memory down
-        copies, through = self._copies_through(n, f)
-        self.copies: tuple[int, ...] = tuple(copies)
-        self.through: tuple[tuple[int, ...], ...] = tuple(tuple(t) for t in through)
-
-    def _copies_through(self, n: int, f: Hypergraph) -> tuple[list[int], list[list[int]]]:
-        # every injection V(F) -> [n] is a relabeling of [v(F)] followed by
-        # the order-preserving map onto its image, so map F's labelings onto
-        # each v(F)-subset of [n]; a copy that leaves some vertex of F
-        # isolated comes from several subsets and is stored once
+        index = {e: i for i, e in enumerate(self.cand)}
         copies: list[int] = []
         through: list[list[int]] = [[] for _ in self.cand]
-        labelings = _labelings(f) if f.n <= n else []
-        seen: set[int] = set()
-        for s in combinations(range(n), f.n):
-            ids = [self.index[e] for e in combinations(s, f.k)]
-            bits = [1 << j for j in ids]
-            for edges in labelings:
-                m = 0
-                for p in edges:
-                    m |= bits[p]
-                if m not in seen:
-                    seen.add(m)
+        if f.n <= n:
+            # a copy is one labeling of F without its isolated vertices,
+            # mapped in order onto the copy's vertex set: it comes from one
+            # subset and one labeling
+            core = induced(f, (v for v, d in enumerate(f.degrees) if d))
+            labelings = _labelings(core)
+            for s in combinations(range(n), core.n):
+                ids = [index[e] for e in combinations(s, f.k)]
+                bits = [1 << j for j in ids]
+                for edges in labelings:
+                    m = 0
+                    for p in edges:
+                        m |= bits[p]
                     copies.append(m)
                     for p in edges:
                         through[ids[p]].append(m)
-        return copies, through
+        self.copies = copies
+        self.through = through
 
 
 def _kill(masks: Sequence[int], inc: int) -> int:

@@ -136,6 +136,18 @@ def test_separate_command(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "separated"
     assert payload["condition2"]["holds"] and payload["condition1"]["holds"] is False
+    # condition 2 alone separates K5 from K4, so a cut condition 1 is moot
+    code, out = invoke(capsys, "separate", "K:5,3", "K:4,3", "--budget", "5", "--json")
+    assert code == 0 and json.loads(out)["condition1"]["holds"] == "unknown"
+    # condition 2 fails for K5-minus, so the cut condition 1 leaves the
+    # verdict undecided: the budget ran out, not the property
+    code, out = invoke(capsys, "separate", "K-:5,3", "K:4,3", "--budget", "5", "--json")
+    payload = json.loads(out)
+    assert code == 3 and payload["verdict"] == "not-established"
+    assert payload["condition1"]["holds"] == "unknown"
+    assert payload["condition2"]["holds"] is False
+    code, out = invoke(capsys, "separate", "K-:5,3", "K:4,3", "--json")
+    assert code == 1 and json.loads(out)["condition1"]["holds"] is False
 
 
 def test_condition2_witness_revalidates(capsys):
@@ -313,6 +325,8 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
         ["free-check", "K:6,4", "K:5,3"],
         ["construct", "s6star", "abc"],
         ["construct", "blowup", "S6", "2", "2", "x"],
+        ["construct", "blowup"],
+        ["construct", "augment"],
         ["build", str(tmp_path)],
         ["free-check", "S6", str(tmp_path)],
         ["build", str(binary)],
@@ -359,7 +373,8 @@ def _fuzz_argv(draw):
     # both families usually share k, so that pairs often get past parsing
     k = draw(st.integers(1, 5))
     command = draw(st.sampled_from(
-        ["turan", "free-check", "contains", "condition1", "condition2"]))
+        ["turan", "free-check", "contains", "condition1", "condition2",
+         "separate"]))
     if command != "turan":
         k2 = draw(st.one_of(st.just(k), st.integers(1, 5)))
         argv = [command, draw(_tokens(k)), draw(_tokens(k2))]

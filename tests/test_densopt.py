@@ -115,6 +115,12 @@ def test_maximize_degenerate_polynomials():
     opt = maximize_constrained(
         DensityPolynomial(Fraction(1), Fraction(0), Fraction(0), Fraction(0)))
     assert opt.x_star == pytest.approx(0.25) and opt.value == pytest.approx(1 / 64)
+    # these coefficients cancel the x^3 term of the reduced cubic, so its
+    # derivative is linear, with its root at x = 1/6 inside [0, 1/4]
+    opt = maximize_constrained(DensityPolynomial(
+        Fraction(1), Fraction(0), Fraction(5, 2), Fraction(1)))
+    assert opt.exact_x == opt.exact_y == Quad.rational(Fraction(1, 6), 1)
+    assert opt.exact_value == Quad.rational(Fraction(1, 48), 1)
 
 
 def test_reference_bounds():

@@ -352,11 +352,14 @@ def test_search_matches_list_filter_oracle(f, n, root_symmetry, budget):
 
 
 def _check_index(n, f):
-    through = CopyIndex(n, f).through
+    engine = CopyIndex(n, f)
     copies = _injection_masks(n, f)
-    assert set().union(*through) == copies
-    assert sum(len(t) for t in through) == len(copies) * f.edge_count
-    for j, masks in enumerate(through):
+    # each copy found once, also when F has isolated vertices
+    assert sorted(engine.copies) == sorted(copies)
+    assert set().union(*engine.through) == copies
+    assert sum(len(t) for t in engine.through) == len(copies) * f.edge_count
+    for j, masks in enumerate(engine.through):
+        assert len(set(masks)) == len(masks)
         assert all(m >> j & 1 for m in masks)
 
 
