@@ -9,7 +9,9 @@ Conventions used everywhere in this package:
 Text format (producible/consumable by every CLI command):
   line 1: ``k n``; each following non-comment line: k vertex indices.
   Lines starting with ``#`` and blank lines are ignored.  Edges need not be
-  pre-sorted but duplicates are rejected.
+  pre-sorted but duplicates are rejected.  ``parse`` only splits lines
+  into integers; the edges are validated once, by the ``Hypergraph``
+  constructor.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb
+from operator import lt
 from typing import Iterable
 
 from .errors import ParameterError, ParseError
@@ -45,21 +48,21 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ParameterError(f"uniformity must be >= 2, got k={self.k}")
-        if self.n < 0:
-            raise ParameterError(f"vertex count must be >= 0, got n={self.n}")
-        prev = None
-        for e in self.edges:
-            if len(e) != self.k:
-                raise ParameterError(f"edge {e} does not have {self.k} vertices")
-            if any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
+        k, n, edges = self.k, self.n, self.edges
+        if k < 2:
+            raise ParameterError(f"uniformity must be >= 2, got k={k}")
+        if n < 0:
+            raise ParameterError(f"vertex count must be >= 0, got n={n}")
+        for e in edges:
+            if len(e) != k:
+                raise ParameterError(f"edge {e} does not have {k} vertices")
+            if not all(map(lt, e, e[1:])):
                 raise ParameterError(f"edge {e} is not strictly increasing")
-            if e[0] < 0 or e[-1] >= self.n:
-                raise ParameterError(f"edge {e} out of range [0, {self.n})")
-            if prev is not None and e <= prev:
-                raise ParameterError(f"edge list not strictly sorted at {e}")
-            prev = e
+            if e[0] < 0 or e[-1] >= n:
+                raise ParameterError(f"edge {e} out of range [0, {n})")
+        if not all(map(lt, edges, edges[1:])):
+            bad = next(b for a, b in zip(edges, edges[1:]) if a >= b)
+            raise ParameterError(f"edge list not strictly sorted at {bad}")
 
     @property
     def edge_count(self) -> int:
@@ -74,10 +77,12 @@ class Hypergraph:
         """Each (k-1)-set lying in an edge, as a sorted tuple, mapped to the
         bitmask of the vertices that complete it to an edge.  Read-only."""
         links: dict[tuple[int, ...], int] = {}
+        get = links.get
+        positions = range(self.k)
         for e in self.edges:
-            for i, v in enumerate(e):
+            for i in positions:
                 t = e[:i] + e[i + 1:]
-                links[t] = links.get(t, 0) | 1 << v
+                links[t] = get(t, 0) | 1 << e[i]
         return links
 
     @cached_property
@@ -217,9 +222,29 @@ def serialize(h: Hypergraph) -> str:
 
 
 def parse(text: str) -> Hypergraph:
-    """Parse the text format; see the module docstring for its grammar."""
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, ...]] = []
+    """Parse the text format; see the module docstring for its grammar.
+
+    Each line is split once and read as integers; repeated vertices, range
+    and duplicates are left to the one validating pass of the constructor.
+    Only when parsing fails are the lines walked again, by
+    :func:`_line_error`, to name the first faulty one.
+    """
+    rows = (r for r in map(str.split, text.splitlines()) if r and r[0][0] != "#")
+    header = next(rows, None)
+    if header is None:
+        raise ParseError("missing 'k n' header line")
+    try:
+        k, n = map(int, header)
+        edges = sorted([tuple(sorted(map(int, r))) for r in rows])
+        return Hypergraph(k, n, tuple(edges))
+    except (ValueError, ParameterError) as exc:
+        raise ParseError(_line_error(text) or str(exc)) from None
+
+
+def _line_error(text: str) -> str | None:
+    """The first faulty line of text, as ``line N: ...``, or None when every
+    line is well formed on its own."""
+    header: list[int] | None = None
     seen: set[tuple[int, ...]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -228,28 +253,21 @@ def parse(text: str) -> Hypergraph:
         try:
             values = [int(tok) for tok in line.split()]
         except ValueError:
-            raise ParseError(f"line {lineno}: non-integer token in {line!r}")
+            return f"line {lineno}: non-integer token in {line!r}"
         if header is None:
             if len(values) != 2:
-                raise ParseError(f"line {lineno}: header must be 'k n'")
-            header = (values[0], values[1])
+                return f"line {lineno}: header must be 'k n'"
+            header = values
             continue
         k, n = header
         if len(values) != k:
-            raise ParseError(f"line {lineno}: expected {k} vertices, got {len(values)}")
+            return f"line {lineno}: expected {k} vertices, got {len(values)}"
         edge = tuple(sorted(values))
         if len(set(edge)) != k:
-            raise ParseError(f"line {lineno}: repeated vertex in edge {values}")
+            return f"line {lineno}: repeated vertex in edge {values}"
         if edge[0] < 0 or edge[-1] >= n:
-            raise ParseError(f"line {lineno}: vertex out of range [0, {n})")
+            return f"line {lineno}: vertex out of range [0, {n})"
         if edge in seen:
-            raise ParseError(f"line {lineno}: duplicate edge {values}")
+            return f"line {lineno}: duplicate edge {values}"
         seen.add(edge)
-        edges.append(edge)
-    if header is None:
-        raise ParseError("missing 'k n' header line")
-    k, n = header
-    try:
-        return Hypergraph(k, n, tuple(sorted(edges)))
-    except ParameterError as exc:
-        raise ParseError(str(exc))
+    return None

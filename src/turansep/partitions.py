@@ -13,6 +13,9 @@ s^(k-1) link lookups, whatever e(H) is.
 
 Divisibility t0 | n is required; per-trial randomness is a deterministic
 function of (seed, trial index), so trials are schedule-independent.
+``expectation_check`` re-seeds one generator per call with each trial's
+seed, which draws the same parts as ``sample_parts`` with that seed, and
+skips the validation of parts it drew itself.
 """
 
 from __future__ import annotations
@@ -75,11 +78,13 @@ def crossing_probability(n: int, k: int, t0: int) -> Fraction:
 def sample_parts(n: int, k: int, t0: int, seed) -> BalancedParts:
     """Uniform ordered choice of k disjoint s-sets, deterministic per seed."""
     s = _validate(n, k, t0)
-    rng = random.Random(seed)
+    return BalancedParts(_draw(random.Random(seed), n, k, s))
+
+
+def _draw(rng: random.Random, n: int, k: int, s: int) -> tuple[tuple[int, ...], ...]:
+    """k disjoint sorted s-subsets of [n], drawn from rng in order."""
     draw = rng.sample(range(n), k * s)
-    return BalancedParts(
-        tuple(tuple(sorted(draw[i * s:(i + 1) * s])) for i in range(k))
-    )
+    return tuple([tuple(sorted(draw[i * s:(i + 1) * s])) for i in range(k)])
 
 
 def enumerate_balanced_parts(n: int, k: int, t0: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -112,11 +117,20 @@ def crossing_count(h: Hypergraph, parts: BalancedParts) -> int:
         for v in p:
             if v < 0 or v >= h.n:
                 raise ParameterError(f"vertex {v} out of range [0, {h.n})")
-    *heads, last = parts.parts
-    target = sum(1 << v for v in last)
-    links = h.links
-    return sum((links.get(tuple(sorted(t)), 0) & target).bit_count()
-               for t in product(*heads))
+    return _count(h.links, parts.parts)
+
+
+def _count(links: dict[tuple[int, ...], int], parts: tuple[tuple[int, ...], ...]) -> int:
+    """Crossing edges of valid parts, read off the host's links."""
+    *heads, last = parts
+    target = 0
+    for v in last:
+        target |= 1 << v
+    get = links.get
+    total = 0
+    for t in product(*heads):
+        total += (get(tuple(sorted(t)), 0) & target).bit_count()
+    return total
 
 
 def expectation_check(
@@ -127,12 +141,15 @@ def expectation_check(
     if trials < 1:
         raise ParameterError(f"need trials >= 1, got {trials}")
     n, k = h.n, h.k
-    p = crossing_probability(n, k, t0)
-    exact = h.edge_count * p
+    s = _validate(n, k, t0)
+    exact = h.edge_count * crossing_probability(n, k, t0)
+    links = h.links
+    rng = random.Random()
     values = []
     for i in range(trials):
-        parts = sample_parts(n, k, t0, seed=f"{seed}:{i}")
-        values.append(crossing_count(h, parts))
+        # the stream of random.Random(f"{seed}:{i}"), as in sample_parts
+        rng.seed(f"{seed}:{i}")
+        values.append(_count(links, _draw(rng, n, k, s)))
     mean = sum(values) / trials
     if trials > 1:
         var = sum((v - mean) ** 2 for v in values) / (trials - 1)

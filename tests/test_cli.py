@@ -375,7 +375,13 @@ def _fuzz_argv(draw):
     command = draw(st.sampled_from(
         ["turan", "free-check", "contains", "condition1", "condition2",
          "separate"]))
-    if command != "turan":
+    if command == "separate" and draw(st.booleans()):
+        # K:j+2,j or K-:j+2,j over K:j+1,j; the first separates (exit 0)
+        # at any budget, so the separated path is fuzzed too
+        j = draw(st.integers(2, 4))
+        kind = draw(st.sampled_from(["K", "K-"]))
+        argv = [command, f"{kind}:{j + 2},{j}", f"K:{j + 1},{j}"]
+    elif command != "turan":
         k2 = draw(st.one_of(st.just(k), st.integers(1, 5)))
         argv = [command, draw(_tokens(k)), draw(_tokens(k2))]
     elif draw(st.booleans()):

@@ -1,6 +1,7 @@
 """Core hypergraph type, named families, and the text format."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,8 +33,6 @@ def Km(ell, k):
 def hypergraphs(draw, max_n=8, ks=(2, 3, 4)):
     k = draw(st.sampled_from(ks))
     n = draw(st.integers(min_value=k, max_value=max_n))
-    from itertools import combinations
-
     cand = list(combinations(range(n), k))
     chosen = draw(st.lists(st.sampled_from(cand), unique=True, max_size=len(cand)))
     return from_edges(k, n, chosen)
@@ -127,8 +126,6 @@ def test_missing_edges():
 
 def test_missing_edges_k4_free_five_sets():
     # a K4-free 3-graph misses at least three edges on every 5-set
-    from itertools import combinations
-
     from turansep.exact import random_maximal_free
 
     k4 = K(4, 3)
@@ -193,17 +190,49 @@ def test_parse_tolerates_comments_and_unsorted_edges():
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, match",
     [
-        "3 5\n0 1 2\n2 1 0\n",  # duplicate
-        "3 5\n0 1\n",  # wrong arity
-        "3 5\n0 1 7\n",  # out of range
-        "3 5\n0 1 1\n",  # repeated vertex
-        "0 1 2\n",  # header is not 'k n'
-        "",  # missing header
-        "3 5\nx y z\n",  # non-integer
+        ("3 5\n0 1 2\n2 1 0\n", r"^line \d+:"),  # duplicate
+        ("3 5\n0 1\n", r"^line \d+:"),  # wrong arity
+        ("3 5\n0 1 7\n", r"^line \d+:"),  # out of range
+        ("3 5\n0 1 1\n", r"^line \d+:"),  # repeated vertex
+        ("0 1 2\n", r"^line \d+:"),  # header is not 'k n'
+        ("", r"^missing"),  # missing header
+        ("3 5\nx y z\n", r"^line \d+:"),  # non-integer
     ],
 )
-def test_parse_errors(text):
-    with pytest.raises(ParseError):
+def test_parse_errors(text, match):
+    with pytest.raises(ParseError, match=match):
         parse(text)
+
+
+def test_parse_error_names_first_faulty_line():
+    # the duplicate on line 4 comes before the out-of-range vertex on line 5
+    text = "# c\n3 5\n0 1 2\n2 0 1\n0 1 9\n"
+    with pytest.raises(ParseError, match=r"^line 4: duplicate edge \[2, 0, 1\]$"):
+        parse(text)
+    with pytest.raises(ParseError, match=r"^uniformity must be >= 2"):
+        parse("1 3\n0\n2\n")
+
+
+@given(hypergraphs(), st.data())
+def test_parse_round_trip_shuffled_reversed(h, data):
+    lines = [" ".join(map(str, reversed(e))) for e in h.edges]
+    lines = data.draw(st.permutations(lines))
+    noise = data.draw(st.lists(st.sampled_from(["", "   ", "# note", "#note", "  #1 2 3"]),
+                               max_size=len(lines) + 1))
+    body = list(lines)
+    for extra in noise:
+        body.insert(data.draw(st.integers(0, len(body))), extra)
+    text = "\n".join([f"{h.k} {h.n}"] + body) + "\n"
+    assert parse(text) == h
+
+
+@given(hypergraphs())
+def test_links_match_combinations_oracle(h):
+    naive: dict = {}
+    for e in h.edges:
+        for t in combinations(e, h.k - 1):
+            (v,) = set(e) - set(t)
+            naive[t] = naive.get(t, 0) | 1 << v
+    assert h.links == naive

@@ -11,6 +11,7 @@ from turansep.errors import ParameterError
 from turansep.hypergraph import FamilySpec, Hypergraph, build_named, from_edges
 from turansep.partitions import (
     BalancedParts,
+    ExpectationReport,
     crossing_count,
     crossing_probability,
     enumerate_balanced_parts,
@@ -146,6 +147,38 @@ def _hosts_and_parts(draw):
 def test_crossing_count_matches_edge_mask_oracle(case):
     h, parts = case
     assert crossing_count(h, parts) == _edge_mask_count(h, parts)
+
+
+def _expectation_oracle(h, t0, trials, seed):
+    """The report from one public sample_parts/crossing_count call per trial."""
+    values = [crossing_count(h, sample_parts(h.n, h.k, t0, f"{seed}:{i}"))
+              for i in range(trials)]
+    exact = h.edge_count * crossing_probability(h.n, h.k, t0)
+    mean = sum(values) / trials
+    var = sum((v - mean) ** 2 for v in values) / (trials - 1) if trials > 1 else 0.0
+    stderr = (var / trials) ** 0.5
+    z = (mean - float(exact)) / stderr if stderr > 0 else 0.0
+    return ExpectationReport(seed, mean, exact, z)
+
+
+@st.composite
+def _trial_cases(draw):
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k, 12))
+    t0 = draw(st.sampled_from([t for t in range(k, n + 1) if n % t == 0]))
+    cand = list(combinations(range(n), k))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    h = from_edges(k, n, rng.sample(cand, rng.randint(0, len(cand))))
+    return h, t0, draw(st.integers(1, 30)), draw(st.integers(-2**40, 2**40))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_trial_cases())
+def test_expectation_check_matches_per_trial_oracle(case):
+    # the floats are compared exactly: the loop must draw the same parts
+    # and sum the same counts in the same order
+    h, t0, trials, seed = case
+    assert expectation_check(h, t0, trials, seed) == _expectation_oracle(h, t0, trials, seed)
 
 
 def test_expectation_exact_on_complete_graph():
