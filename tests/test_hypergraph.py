@@ -190,18 +190,20 @@ def test_parse_tolerates_comments_and_unsorted_edges():
 
 
 @pytest.mark.parametrize(
-    "text, match",
+    "text",
     [
-        ("3 5\n0 1 2\n2 1 0\n", r"^line \d+:"),  # duplicate
-        ("3 5\n0 1\n", r"^line \d+:"),  # wrong arity
-        ("3 5\n0 1 7\n", r"^line \d+:"),  # out of range
-        ("3 5\n0 1 1\n", r"^line \d+:"),  # repeated vertex
-        ("0 1 2\n", r"^line \d+:"),  # header is not 'k n'
-        ("", r"^missing"),  # missing header
-        ("3 5\nx y z\n", r"^line \d+:"),  # non-integer
+        "3 5\n0 1 2\n2 1 0\n",  # duplicate
+        "3 5\n0 1\n",  # wrong arity
+        "3 5\n0 1 7\n",  # out of range
+        "3 5\n0 1 1\n",  # repeated vertex
+        "0 1 2\n",  # header is not 'k n'
+        "",  # missing header
+        "3 5\nx y z\n",  # non-integer
     ],
 )
-def test_parse_errors(text, match):
+def test_parse_errors(text):
+    # every fault names its line, except a file with no header at all
+    match = r"^line \d+:" if text else r"^missing"
     with pytest.raises(ParseError, match=match):
         parse(text)
 
