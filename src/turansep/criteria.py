@@ -17,6 +17,12 @@ j >= 2, passes automatically since F - ∅ = F ⊇ F'.  Parts 2..k play
 symmetric roles, so only assignments whose non-first labels appear in
 increasing first-occurrence order are enumerated; relabeling parts 2..k
 keeps a violation, so the first one found is the first in base-k order.
+F's twins compose with that: vertices u < v are twins when the
+transposition (u v) is an automorphism of F, and swapping the labels of
+twins keeps a violation too.  The first violation in base-k order is
+therefore lex-min in its orbit under both, so it gives each twin class
+non-decreasing labels in vertex order, and v's label loop starts at the
+label of its previous twin.
 F' ⊆ F - V_j is decided by the copy search on F's own links over the
 vertices outside V_j, memoized on the mask of V_j.
 """
@@ -122,6 +128,7 @@ def check_condition2(f: Hypergraph, f_sub: Hypergraph) -> Condition2Result:
     for e in f.edges:
         ending_at[e[-1]].append(sum(1 << v for v in e))
     edge_masks = [e for masks in ending_at for e in masks]
+    twin = _previous_twins(m, edge_masks)
     tree = embed._compile(f_sub)[1]
     full = (1 << m) - 1
 
@@ -139,6 +146,7 @@ def check_condition2(f: Hypergraph, f_sub: Hypergraph) -> Condition2Result:
         return hit
 
     part_masks = [0] * k
+    labels = [0] * m
     checked = 0
     violation: list[Partition] = []
 
@@ -155,8 +163,11 @@ def check_condition2(f: Hypergraph, f_sub: Hypergraph) -> Condition2Result:
         # v in parts 2..k passes only if those edges already meet part 1
         top = min(used_labels + 2, k) if all(
             e & part_masks[0] for e in ending_at[v]) else 1
+        # a twin class takes non-decreasing labels in vertex order
+        start = labels[twin[v]] if twin[v] >= 0 else 0
         bit = 1 << v
-        for label in range(top):
+        for label in range(start, top):
+            labels[v] = label
             part_masks[label] |= bit
             if not enumerate_from(v + 1, max(used_labels, label)):
                 return False
@@ -174,6 +185,25 @@ def check_condition2(f: Hypergraph, f_sub: Hypergraph) -> Condition2Result:
         counterexample=None if holds else violation[0],
         partitions_checked=checked,
     )
+
+
+def _previous_twins(m: int, edge_masks: list[int]) -> list[int]:
+    """For each vertex v, the largest u < v such that the transposition
+    (u v) is an automorphism of the graph with these edge masks, or -1.
+
+    (u v) fixes the edges holding both or neither of u and v, and swaps
+    the others in pairs that differ by the two bits.  Twins form an
+    equivalence relation, so each vertex's previous twin links its class.
+    """
+    edges = set(edge_masks)
+    twin = [-1] * m
+    for v in range(m):
+        for u in range(v - 1, -1, -1):
+            uv = 1 << u | 1 << v
+            if all(e ^ uv in edges for e in edges if e & uv not in (0, uv)):
+                twin[v] = u
+                break
+    return twin
 
 
 def verify_counterexample(

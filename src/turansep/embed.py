@@ -5,11 +5,13 @@ subgraph containment, not induced).  ``contains`` returns the first
 embedding in a fixed search order, so results are deterministic.  It maps
 F's vertices in descending degree order, one at a time, and reads
 ``Hypergraph.links``, the bitmask of vertices completing each (k-1)-set to
-an edge: the candidates for the next vertex are the unused vertices ANDed
-with the links of the images of its F-edges' other k-1 vertices (the
-edges whose last vertex in the order it is), tried lowest first.  The
-same routine, ``_extend``, serves the greedy ``exact.random_maximal_free``
-and condition (2), run there on F's links over the vertices outside a part.
+an edge, keyed by the (k-1)-set's vertex mask: the candidates for the next
+vertex are the unused vertices ANDed with the links of the images of its
+F-edges' other k-1 vertices (the edges whose last vertex in the order it
+is), tried lowest first.  The images are kept as vertex bits, so each key
+is the OR of k-1 of them and no tuple is built or sorted.  The same
+routine, ``_extend``, serves the greedy ``exact.random_maximal_free`` and
+condition (2), run there on F's links over the vertices outside a part.
 
 The r-subset scan has one code path for every uniformity k.  An r-subset
 violates the threshold when it misses at most the slack C(r, k) -
@@ -18,7 +20,8 @@ prefixes in lex order that cuts a prefix once it misses more than that.
 It reads the same links: each prefix keeps, for j up to the slack it has
 left, the mask of vertices lying in all but at most j of the links of its
 (k-1)-subsets.  The last of those masks gives the candidates for the next
-vertex, and a child folds in only the links through its new vertex.
+vertex, and a child folds in only the links through its new vertex, each
+keyed by a (k-2)-subset mask of the prefix ORed with the new vertex's bit.
 ``check_free`` picks between that scan and the embedding search from F's
 structure alone (``threshold_free_params``).
 """
@@ -67,29 +70,35 @@ def _step_tree(chains: Iterable[Iterable[tuple[tuple[int, ...], ...]]]) -> dict:
     return tree
 
 
-def _extend(node: dict, links: dict[tuple[int, ...], int], phi: list[int],
+def _extend(node: dict, links: dict[int, int], phi: list[int],
             free: int) -> bool:
     """Whether some chain of steps below node extends phi to a copy of F in
     the graph with these links; on success phi holds the copy.
 
-    phi maps F's vertices 0..len(phi)-1; free holds the unused vertices.
-    The candidates for the next vertex are free ANDed with the links of the
-    images of the step's (k-1)-sets, tried lowest first.  A module function
-    rather than a closure: a recursive closure is a reference cycle, and
-    each call would leave its links behind until the cyclic collector ran.
+    phi maps F's vertices 0..len(phi)-1 to the bits of their images (1 << h
+    for image h); free holds the unused vertices.  The candidates for the
+    next vertex are free ANDed with the links of the images of the step's
+    (k-1)-sets, each looked up by the OR of its images' bits, and are tried
+    lowest first.  A module function rather than a closure: a recursive
+    closure is a reference cycle, and each call would leave its links
+    behind until the cyclic collector ran.
     """
     if not node:
         return True
+    get = links.get
     for step, child in node.items():
         c = free
         for t in step:
-            c &= links.get(tuple(sorted([phi[u] for u in t])), 0)
+            key = 0
+            for u in t:
+                key |= phi[u]
+            c &= get(key, 0)
             if not c:
                 break
         while c:
             low = c & -c
             c ^= low
-            phi.append(low.bit_length() - 1)
+            phi.append(low)
             if _extend(child, links, phi, free ^ low):
                 return True
             phi.pop()
@@ -118,7 +127,7 @@ def contains(h: Hypergraph, f: Hypergraph) -> Embedding | None:
     phi: list[int] = []
     if not _extend(tree, h.links, phi, (1 << h.n) - 1):
         return None
-    return Embedding(tuple(phi[pos[v]] for v in range(f.n)))
+    return Embedding(tuple(phi[pos[v]].bit_length() - 1 for v in range(f.n)))
 
 
 def check_free(
@@ -147,43 +156,47 @@ def is_free(h: Hypergraph, f: Hypergraph) -> bool:
     return check_free(h, f)[1] is None
 
 
-def _complete(links: dict[tuple[int, ...], int], k: int, r: int, n: int,
+def _complete(links: dict[int, int], k: int, r: int, n: int,
               prefix: tuple[int, ...], miss: list[int], c: int
               ) -> tuple[tuple[int, ...], int] | None:
     """Lex-first completion of prefix to an r-subset missing at most the
     slack in k-subsets, as (subset, slack left over), or None.
 
+    prefix and the subset hold vertex bits (1 << u for vertex u).
     len(miss) - 1 is the slack the prefix leaves, and miss[j] holds the
     vertices w for which adding w misses at most j more k-subsets: w lies
     in all but at most j of the links of the prefix's (k-1)-subsets.  c
     holds the candidates for the next vertex: miss[-1] cut to the vertices
     above the prefix that leave room for the rest.  A child keeps the
     levels within its own slack and folds in the links of the
-    (k-1)-subsets through its new vertex.  A module function rather than
-    a closure, for the reason _extend gives.
+    (k-1)-subsets through its new vertex, each the mask of a (k-2)-subset
+    of the prefix ORed with the new bit.  A module function rather than a
+    closure, for the reason _extend gives.
     """
     d, slack = len(prefix), len(miss) - 1
-    subs = list(combinations(prefix, k - 2))
+    subs = list(map(sum, combinations(prefix, k - 2)))
     # the vertex after v lies above it and leaves room for r - d - 2 more
     room = (1 << n - r + d + 2) - 1
+    get = links.get
     while c:
         low = c & -c
         c ^= low
         j = 0
         while not miss[j] & low:
             j += 1
-        v = low.bit_length() - 1
         if d + 1 == r:
-            return prefix + (v,), slack - j
+            return prefix + (low,), slack - j
         child = miss[:slack - j + 1]
+        down = range(slack - j, 0, -1)
         for u in subs:
-            m = links.get(u + (v,), 0)
-            for i in range(len(child) - 1, 0, -1):
+            m = get(u | low, 0)
+            for i in down:
                 child[i] = child[i] & m | child[i - 1]
             child[0] &= m
-        cc = child[-1] >> v + 1 << v + 1 & room
+        # -(low << 1) keeps the bits above low
+        cc = child[-1] & -(low << 1) & room
         if cc:
-            found = _complete(links, k, r, n, prefix + (v,), child, cc)
+            found = _complete(links, k, r, n, prefix + (low,), child, cc)
             if found:
                 return found
     return None
@@ -215,8 +228,8 @@ def spanned_edge_violation(
                       full >> r - 1)
     if found is None:
         return None
-    subset, left = found
-    return subset, max_edges + 1 + left
+    bits, left = found
+    return tuple(b.bit_length() - 1 for b in bits), max_edges + 1 + left
 
 
 def spanned_edge_threshold_free(h: Hypergraph, r: int, max_edges: int) -> bool:

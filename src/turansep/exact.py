@@ -51,11 +51,11 @@ witness tie-break.
 
 CopyIndex is the exact search's alone.  The seeded greedy
 random_maximal_free builds none: it walks the shuffled candidates, keeps
-the links of the growing graph (each (k-1)-set mapped to the bitmask of
-the vertices completing it, as in Hypergraph.links) and adds a candidate
-e iff no copy of F runs through e.  Its anchors come from the same
-enumeration, run on F itself: the labelings that contain the edge
-(0..k-1), one per class under relabelings of the rest vertices
+the links of the growing graph (each (k-1)-set's vertex mask mapped to
+the bitmask of the vertices completing it, as in Hypergraph.links) and
+adds a candidate e iff no copy of F runs through e.  Its anchors come
+from the same enumeration, run on F itself: the labelings that contain
+the edge (0..k-1), one per class under relabelings of the rest vertices
 k..v(F)-1, a class being an orbit under the transpositions (i, i+1) with
 i >= k.  Each anchor maps (0..k-1) onto e and extends one rest vertex
 at a time through embed._extend, the copy search that embed.contains
@@ -336,8 +336,9 @@ def random_maximal_free(n: int, f: Hypergraph, seed: int) -> Hypergraph:
 
     A candidate e is added iff the graph plus e has no copy of F through
     e; the graph is F-free, so that is exactly whether it stays F-free.
-    Each anchor maps (0..k-1) onto e in order and extends vertex by vertex,
-    taking the candidates for a rest vertex from the links of the graph.
+    Each anchor maps (0..k-1) onto e in order, as the bits of e's vertices,
+    and extends vertex by vertex, taking the candidates for a rest vertex
+    from the links of the graph.
     """
     if f.edge_count == 0 and f.n <= n:
         raise ParameterError("F without edges is contained in every graph")
@@ -348,18 +349,18 @@ def random_maximal_free(n: int, f: Hypergraph, seed: int) -> Hypergraph:
     random.Random(seed).shuffle(cand)
     anchors = _anchors(f) if f.n <= n else []
     tree = _step_tree(anchors)
-    links: dict[tuple[int, ...], int] = {}
+    links: dict[int, int] = {}
+    get = links.get
 
     full = (1 << n) - 1
     edges = []
     for e in cand:
-        free = full
-        for v in e:
-            free ^= 1 << v
-        if anchors and _extend(tree, links, list(e), free):
+        bits = [1 << v for v in e]
+        m = sum(bits)
+        if anchors and _extend(tree, links, bits, full ^ m):
             continue
         edges.append(e)
-        for i, v in enumerate(e):
-            t = e[:i] + e[i + 1:]
-            links[t] = links.get(t, 0) | 1 << v
+        for b in bits:
+            t = m ^ b
+            links[t] = get(t, 0) | b
     return Hypergraph(k, n, tuple(sorted(edges)))

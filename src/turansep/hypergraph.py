@@ -73,16 +73,19 @@ class Hypergraph:
         return frozenset(self.edges)
 
     @cached_property
-    def links(self) -> dict[tuple[int, ...], int]:
-        """Each (k-1)-set lying in an edge, as a sorted tuple, mapped to the
-        bitmask of the vertices that complete it to an edge.  Read-only."""
-        links: dict[tuple[int, ...], int] = {}
+    def links(self) -> dict[int, int]:
+        """Each (k-1)-set lying in an edge, as its vertex mask (the sum of
+        1 << u over its vertices), mapped to the bitmask of the vertices that
+        complete it to an edge.  Read-only."""
+        links: dict[int, int] = {}
         get = links.get
-        positions = range(self.k)
+        bit = [1 << v for v in range(self.n)].__getitem__
         for e in self.edges:
-            for i in positions:
-                t = e[:i] + e[i + 1:]
-                links[t] = get(t, 0) | 1 << e[i]
+            bits = list(map(bit, e))
+            m = sum(bits)
+            for b in bits:
+                t = m ^ b
+                links[t] = get(t, 0) | b
         return links
 
     @cached_property

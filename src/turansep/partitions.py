@@ -9,7 +9,8 @@ reproducibly, and checks the identity empirically.
 
 The count reads ``Hypergraph.links``: a crossing edge is a transversal of
 U_1..U_{k-1} together with a vertex of U_k in its link, so one trial costs
-s^(k-1) link lookups, whatever e(H) is.
+s^(k-1) link lookups, each keyed by the sum of the transversal's vertex
+bits, whatever e(H) is.
 
 Divisibility t0 | n is required; per-trial randomness is a deterministic
 function of (seed, trial index), so trials are schedule-independent.
@@ -120,16 +121,17 @@ def crossing_count(h: Hypergraph, parts: BalancedParts) -> int:
     return _count(h.links, parts.parts)
 
 
-def _count(links: dict[tuple[int, ...], int], parts: tuple[tuple[int, ...], ...]) -> int:
-    """Crossing edges of valid parts, read off the host's links."""
+def _count(links: dict[int, int], parts: tuple[tuple[int, ...], ...]) -> int:
+    """Crossing edges of valid parts, read off the host's links; each
+    transversal is looked up by the sum of its vertex bits."""
     *heads, last = parts
     target = 0
     for v in last:
         target |= 1 << v
     get = links.get
     total = 0
-    for t in product(*heads):
-        total += (get(tuple(sorted(t)), 0) & target).bit_count()
+    for t in product(*[[1 << v for v in p] for p in heads]):
+        total += (get(sum(t), 0) & target).bit_count()
     return total
 
 

@@ -137,10 +137,12 @@ def test_condition2_time_guard_at_benchmark_size():
     start = time.perf_counter()
     r6 = check_condition2(Km(9, 6), K(8, 6))
     r5 = check_condition2(Km(9, 5), K(8, 5))
+    r10 = check_condition2(Km(12, 10), K(11, 10))
     elapsed = time.perf_counter() - start
-    assert (r6.holds, r6.partitions_checked, r6.counterexample) == (True, 9146, None)
-    assert (r5.holds, r5.partitions_checked) == (False, 2443)
+    assert (r6.holds, r6.partitions_checked, r6.counterexample) == (True, 180, None)
+    assert (r5.holds, r5.partitions_checked) == (False, 88)
     assert r5.counterexample == ((4, 5, 6, 7, 8), (0,), (1,), (2,), (3,))
+    assert (r10.holds, r10.partitions_checked, r10.counterexample) == (True, 2291, None)
     assert elapsed < 2.0
 
 
@@ -188,6 +190,36 @@ def test_condition2_matches_naive_oracle(pair):
     assert fast.counterexample == naive_witness
     if not fast.holds:
         assert verify_counterexample(f, fs, fast.counterexample)
+
+
+def _twins(f):
+    """Pairs u < v whose transposition maps F's edge set onto itself."""
+    edges = set(f.edges)
+    return {(u, v) for u, v in combinations(range(f.n), 2)
+            if {tuple(sorted({u: v, v: u}.get(w, w) for w in e))
+                for e in edges} == edges}
+
+
+def test_condition2_relabelled_twin_classes_match_oracle():
+    # K-:6,4 has the twin classes {0, 1} and {2, 3, 4, 5}, D:2,3 has {0, 1}
+    # and {2, 3}, S6 has none; a relabelling scatters them, and the first
+    # violation must still be the oracle's, with F itself as one F'
+    rng = random.Random(7)
+    s6 = build_named(FamilySpec.s6())
+    scattered = 0
+    for f, subs in ((Km(6, 4), (K(5, 4), D(2, 4))), (D(2, 3), (D(1, 3),)),
+                    (s6, (D(2, 3),))):
+        for _ in range(3):
+            perm = list(range(f.n))
+            rng.shuffle(perm)
+            g = from_edges(f.k, f.n, [tuple(perm[v] for v in e) for e in f.edges])
+            twins = _twins(g)
+            scattered += any((u, w) not in twins
+                             for u, v in twins for w in range(u + 1, v))
+            for fs in subs + (g,):
+                got = check_condition2(g, fs)
+                assert (got.holds, got.counterexample) == naive_condition2(g, fs)
+    assert scattered
 
 
 def test_condition2_relabeling_invariance():

@@ -255,7 +255,7 @@ def test_scan_matches_lex_first_oracle(h, extra):
         mask = sum(1 << v for v in range(h.n)
                    if tuple(sorted(t + (v,))) in h.edge_set)
         if mask:
-            links[t] = mask
+            links[sum(1 << u for u in t)] = mask
     assert h.links == links
     for r in range(h.k, h.n + 1):
         most = max(sum(1 for e in combinations(s, h.k) if e in h.edge_set)

@@ -1,5 +1,6 @@
 """Exact Turán search against independent brute-force oracles."""
 
+import hashlib
 import random
 import time
 from itertools import combinations, permutations
@@ -7,6 +8,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from turansep.cli import parse_family_token
 from turansep.embed import check_free, is_free
 from turansep.errors import BudgetExceededError, ParameterError
 from turansep.exact import (
@@ -17,7 +19,7 @@ from turansep.exact import (
     random_maximal_free,
     turan_number,
 )
-from turansep.hypergraph import FamilySpec, build_named, from_edges
+from turansep.hypergraph import FamilySpec, build_named, from_edges, serialize
 
 
 def K(ell, k):
@@ -218,6 +220,28 @@ def test_random_maximal_free_deterministic():
     edges = _hex_edges(_GREEDY_K5M_15_SEED0)
     assert len(edges) == 270
     assert random_maximal_free(15, Km(5, 3), 0).edges == edges
+
+
+# SHA-256 of serialize(random_maximal_free(15, F, seed)), frozen from the
+# greedy whose links were keyed by sorted (k-1)-tuples
+_GREEDY_DIGESTS = {
+    ("K:4,3", 0): "ad434c844439591248ef1b212a5ded34831b9a95948df1a2341d236f3da3b616",
+    ("K:4,3", 1): "f18ae1539d1a69b98d88d78d3eb6900ffdd1ea5d063cccc502ebbc1cf76ff7a6",
+    ("K:4,3", 2): "b2b167f229a19a4619876390e4ac42b3034a5a6957728e2e37f54aa1a78bfb12",
+    ("K-:5,3", 0): "1b92d038706dd577881c562031641ff81d6f2a4cba2911111602e9d73a369011",
+    ("K-:5,3", 1): "494d6dc94af1765fc52813a394ea1cdbf43655ed5676bdf0b16312e1ab54ed0b",
+    ("K-:5,3", 2): "eb8a3884d7e84b67800c83384c32bface9da7877db78031716c370331c1a8710",
+    ("D:2,3", 0): "9c5092cdbd6596742a3f1c5e92ed3684b68e644dae3e4f155f460f7e137cb529",
+    ("D:2,3", 1): "d8cf563dac3d75be0cbac92a871c714d4cda040b37c0a817060cbf194e626007",
+    ("D:2,3", 2): "81e7346dc8655a5eb518f8db99ceeae6e2aeb4a72f49fd70f31961f74c6bbf74",
+}
+
+
+@pytest.mark.parametrize("token, seed", sorted(_GREEDY_DIGESTS))
+def test_random_maximal_free_digests_pinned(token, seed):
+    g = random_maximal_free(15, parse_family_token(token), seed)
+    digest = hashlib.sha256(serialize(g).encode()).hexdigest()
+    assert digest == _GREEDY_DIGESTS[token, seed]
 
 
 def test_search_tree_pinned():

@@ -232,9 +232,11 @@ def test_parse_round_trip_shuffled_reversed(h, data):
 
 @given(hypergraphs())
 def test_links_match_combinations_oracle(h):
+    # each (k-1)-set is keyed by its vertex mask
     naive: dict = {}
     for e in h.edges:
         for t in combinations(e, h.k - 1):
             (v,) = set(e) - set(t)
-            naive[t] = naive.get(t, 0) | 1 << v
+            key = sum(1 << u for u in t)
+            naive[key] = naive.get(key, 0) | 1 << v
     assert h.links == naive
