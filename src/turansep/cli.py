@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -162,6 +163,8 @@ def cmd_turan(args):
         "exhausted": result.exhausted,
         "nodes_explored": result.nodes_explored,
         "witness_edges": [list(e) for e in result.witness.edges],
+        "cap": {"value": result.cap, "closed": result.closed,
+                "ladder": [asdict(level) for level in result.ladder]},
     }
     return payload, 0 if result.exhausted else 3, None
 
@@ -320,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; has no effect")
     shared.add_argument("--budget", type=int, default=exact.DEFAULT_BUDGET,
-                        help="node budget for exact searches")
+                        help="node budget for each exact search")
     shared.add_argument("--timing", action="store_true",
                         help="include elapsed time in the report")
     shared.add_argument("--out", default=None,

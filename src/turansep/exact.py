@@ -49,6 +49,21 @@ to one containing the first candidate edge, and that relabeling also
 preserves the lexicographically smallest optimal edge list, which is the
 witness tie-break.
 
+The search stops early at a cap from the averaging bound of Katona,
+Nemetz and Simonovits (1964): deleting a vertex from an F-free graph on m
+vertices leaves one on m-1, and each edge survives m-k of the m
+deletions, so ex(m, F) <= floor(m * ex(m-1, F) / (m-k)).  turan_number
+climbs a ladder of smaller searches for it.  Below v(F), F does not fit
+and ex(m, F) = C(m, k); at each level m = v(F)..n-1 the bound from the
+level below caps a search on m vertices, whose value, when it exhausts,
+replaces the bound.  After the first level cut by the budget no level is
+searched, and the bound alone carries on up to the cap at n.  The
+include-first search changes its witness only on a strict improvement,
+so the first incumbent that meets the cap is the optimum and already the
+lex-min witness: stopping there keeps the value and the witness of the
+full search, only with fewer nodes.  Every search has its own node
+budget; the result's node count is the search at n alone.
+
 CopyIndex is the exact search's alone.  The seeded greedy
 random_maximal_free builds none: it walks the shuffled candidates, keeps
 the links of the growing graph (each (k-1)-set's vertex mask mapped to
@@ -68,8 +83,9 @@ from __future__ import annotations
 import random
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
+from math import comb
 
 from .embed import _extend, _step_tree
 from .errors import BudgetExceededError, ParameterError
@@ -79,14 +95,26 @@ DEFAULT_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
+class LadderLevel:
+    """One search of the KNS ladder below n."""
+    n: int
+    value: int
+    nodes: int
+    exhausted: bool
+
+
+@dataclass(frozen=True)
 class TuranResult:
     value: int
     witness: Hypergraph
     nodes_explored: int
     exhausted: bool
+    cap: int  # the KNS upper bound on ex(n, F) that the search stops at
+    closed: bool  # the search stopped at an incumbent that met the cap
+    ladder: tuple[LadderLevel, ...] = ()  # the levels searched, bottom-up
 
 
-class _Budget(Exception):
+class _Stop(Exception):
     pass
 
 
@@ -210,6 +238,12 @@ def _kill(masks: Sequence[int], inc: int) -> int:
     return kill
 
 
+def _kns(m: int, k: int, below: int) -> int:
+    """The KNS bound floor(m * below / (m-k)) on ex(m, F), given
+    ex(m-1, F) <= below; C(m, k) when m <= k."""
+    return m * below // (m - k) if m > k else comb(m, k)
+
+
 def turan_number(
     n: int,
     f: Hypergraph,
@@ -217,16 +251,37 @@ def turan_number(
 ) -> TuranResult:
     """Maximum edge count of an F-free k-graph on n vertices.
 
-    Exact when the search exhausts within the node budget; otherwise the
-    best lower bound found so far is returned with exhausted=False.  The
-    witness is the lexicographically smallest optimal edge list.
+    Exact when the search exhausts within the node budget or stops at an
+    incumbent that meets the KNS cap (closed=True); otherwise the best
+    lower bound found so far is returned with exhausted=False.  The
+    witness is the lexicographically smallest optimal edge list.  The
+    budget bounds each search of the ladder separately.
     """
     if budget <= 0:
         raise ParameterError(f"budget must be positive, got {budget}")
     k = f.k
+    # ex(m, F) = C(m, k) while F does not fit on m vertices
+    upper = comb(max(min(n, f.n - 1), 0), k)
+    ladder: list[LadderLevel] = []
+    for m in range(f.n, n):
+        upper = _kns(m, k, upper)
+        if not ladder or ladder[-1].exhausted:
+            level = _search(m, f, budget, upper)
+            ladder.append(LadderLevel(m, level.value, level.nodes_explored,
+                                      level.exhausted))
+            if level.exhausted:
+                upper = level.value
+    cap = _kns(n, k, upper) if n >= f.n else upper
+    return replace(_search(n, f, budget, cap), ladder=tuple(ladder))
+
+
+def _search(n: int, f: Hypergraph, budget: int, cap: int) -> TuranResult:
+    """The branch-and-bound search on n vertices, stopped at budget + 1
+    nodes or once the incumbent meets cap, an upper bound on ex(n, F)."""
+    k = f.k
     if f.edge_count == 0 and f.n > n:
         full = tuple(combinations(range(n), k))
-        return TuranResult(len(full), Hypergraph(k, n, full), 0, True)
+        return TuranResult(len(full), Hypergraph(k, n, full), 0, True, cap, False)
 
     engine = CopyIndex(n, f)
     cand = engine.cand
@@ -236,19 +291,24 @@ def turan_number(
     witness: tuple[int, ...] = ()
     nodes = 0
     exhausted = True
+    closed = False
 
     def rec(alive: int, count: int, inc: int, live: Sequence[int]) -> None:
         # alive: bitmask of the candidates after the last included one that
         # can still be added to inc without closing a copy of F; live: the
         # copy masks handed down, a superset of the copies inside inc | alive
-        nonlocal best, witness, nodes, exhausted
+        nonlocal best, witness, nodes, exhausted, closed
         nodes += 1
         if nodes > budget:
             exhausted = False
-            raise _Budget
+            raise _Stop
         if count > best:
             best = count
             witness = tuple(chosen)
+        if best >= cap:
+            # the incumbent is optimal, and the first at its value
+            closed = True
+            raise _Stop
         rest = alive
         left = alive.bit_count()
         filtered = False
@@ -308,7 +368,7 @@ def turan_number(
             chosen.pop()
         else:
             rec(root_alive, 0, 0, engine.copies)
-    except _Budget:
+    except _Stop:
         pass
     finally:
         sys.setrecursionlimit(limit)
@@ -316,7 +376,7 @@ def turan_number(
         # keeps the index alive until a full collection
         del rec
     edges = tuple(cand[j] for j in witness)
-    return TuranResult(best, Hypergraph(k, n, edges), nodes, exhausted)
+    return TuranResult(best, Hypergraph(k, n, edges), nodes, exhausted, cap, closed)
 
 
 def extremal_witness(

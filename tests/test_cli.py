@@ -19,7 +19,7 @@ from turansep.cli import parse_family_token, run
 from turansep.criteria import verify_counterexample
 from turansep.embed import Embedding, is_free, validate_embedding
 from turansep.errors import ParameterError
-from turansep.exact import random_maximal_free
+from turansep.exact import random_maximal_free, turan_number
 from turansep.hypergraph import FamilySpec, build_named, from_edges, parse, serialize
 
 
@@ -113,6 +113,13 @@ def test_turan_budget_cut_s6_n12(capsys):
     assert code == 3
     payload = json.loads(out)
     assert payload["exhausted"] is False
+    assert (payload["value"], payload["nodes_explored"]) == (10, 11)
+    # the ladder searches only its first level, ex(6, S6), which needs 47
+    # nodes; its cut leaves the bound to the arithmetic from there on
+    assert payload["cap"]["ladder"] == [
+        {"n": 6, "value": 10, "nodes": 11, "exhausted": False}]
+    assert payload["cap"]["closed"] is False
+    assert turan_number(6, build_named(FamilySpec.s6())).nodes_explored == 47
     witness = from_edges(3, 12, payload["witness_edges"])
     assert witness.edge_count == payload["value"]
     assert is_free(witness, build_named(FamilySpec.s6()))
@@ -148,6 +155,19 @@ def test_separate_command(capsys):
     assert payload["condition2"]["holds"] is False
     code, out = invoke(capsys, "separate", "K-:5,3", "K:4,3", "--json")
     assert code == 1 and json.loads(out)["condition1"]["holds"] is False
+
+
+def test_separate_corollary_pair_k13(capsys):
+    # condition 1 closes at the KNS cap 97 = ex(15, K_14^13); without the
+    # cap the search found 97 and then spent minutes failing to prove it
+    start = time.monotonic()
+    code, out = invoke(capsys, "separate", "K-:15,13", "K:14,13", "--json")
+    elapsed = time.monotonic() - start
+    payload = json.loads(out)
+    assert code == 0 and payload["verdict"] == "separated"
+    assert payload["condition1"]["ex_value"] == 97
+    assert payload["condition1"]["holds"] is True
+    assert elapsed < 10.0
 
 
 def test_condition2_witness_revalidates(capsys):

@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +82,32 @@ def test_condition1_k5_minus_vs_k4():
     # ex(5, K4) = 7 and the floor product is 4, so 11 >= 9 and it fails
     r = check_condition1(Km(5, 3), K(4, 3))
     assert (r.ex_value, r.floor_product, r.e_f, r.holds) == (7, 4, 9, False)
+
+
+def _corollary_ex(k):
+    """ex(k+2, K_{k+1}^k) by the edge-cover argument.
+
+    A k-set of [k+2] is the complement of a pair, and the k-sets inside
+    [k+2] - v are the complements of the pairs through v.  So a k-graph on
+    [k+2] is K_{k+1}^k-free exactly when its missing pairs cover every
+    vertex, and it misses at least a minimum edge cover of K_{k+2}.  By
+    Gallai's identity that cover has k+2 - nu pairs, nu = floor((k+2)/2)
+    being the largest matching.
+    """
+    v = k + 2
+    return comb(v, 2) - (v - v // 2)
+
+
+def test_condition1_corollary_pairs_close():
+    # the KNS cap floor((k+2) * k / 2) from ex(k+1, K_{k+1}^k) = k is the
+    # optimum, so every search closes at its first optimal incumbent
+    start = time.monotonic()
+    for k in range(4, 31):
+        r = check_condition1(Km(k + 2, k), K(k + 1, k))
+        assert r.ex_exhausted and r.ex_value == _corollary_ex(k), k
+        assert (r.floor_product, r.e_f) == (4, comb(k + 2, 2) - 1), k
+        assert r.holds is (k >= 9), k
+    assert time.monotonic() - start < 10
 
 
 def test_condition1_unknown_under_budget():

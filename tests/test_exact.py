@@ -4,9 +4,10 @@ import hashlib
 import random
 import time
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from turansep.cli import parse_family_token
 from turansep.embed import check_free, is_free
@@ -15,6 +16,7 @@ from turansep.exact import (
     CopyIndex,
     _anchors,
     _labelings,
+    _search,
     extremal_witness,
     random_maximal_free,
     turan_number,
@@ -246,21 +248,35 @@ def test_random_maximal_free_digests_pinned(token, seed):
 
 def test_search_tree_pinned():
     # node counts pin the search tree itself, not only its answer;
-    # ex(7, K4) = 23 with 21,754 nodes is pinned in acceptance criterion 3.
-    # Before the packing bound these took 151,138 and 497,310 nodes; the
-    # lex-min witnesses are frozen from that search
-    for n, spec, value, nodes, witness, limit in (
-        (9, FamilySpec.daisy(2, 3), 12, 23_984,
+    # ex(7, K4) = 23 with 21,754 nodes is pinned in acceptance criterion 3
+    # (its cap, 24, does not close it).  Before the packing bound the first
+    # two took 151,138 and 497,310 nodes, and before the KNS cap 23,984 and
+    # 25,608; the lex-min witnesses are frozen from those searches.  Each
+    # row: the ladder's values at v(F)..n-1, and the cap at n, which every
+    # one of these searches meets
+    for n, spec, value, nodes, ladder, witness, limit in (
+        (9, FamilySpec.daisy(2, 3), 12, 35, (1, 2, 4, 7, 8),
          "012 034 056 078 135 147 168 238 246 257 367 458", None),
-        (7, FamilySpec.complete_minus(5, 3), 28, 25_608,
+        (7, FamilySpec.complete_minus(5, 3), 28, 22_405, (8, 16),
          "012 013 014 015 023 024 026 035 036 045 046 056 123 125 126 134 "
          "136 145 146 156 234 235 245 246 256 345 346 356", 5.0),
+        # the cap floor(8 * 23 / 5) = 36 closes ex(8, K4), which the search
+        # alone could not exhaust in 300,000 nodes
+        (8, FamilySpec.complete(4, 3), 36, 433_472, (3, 7, 14, 23),
+         "012 013 014 015 016 023 024 025 026 034 035 036 047 057 067 127 "
+         "137 145 146 147 156 157 167 237 245 246 247 256 257 267 345 346 "
+         "347 356 357 367", 15.0),
     ):
         f = build_named(spec)
         start = time.perf_counter()
         res = turan_number(n, f)
         elapsed = time.perf_counter() - start
         assert (res.value, res.nodes_explored, res.exhausted) == (value, nodes, True)
+        assert [level.value for level in res.ladder] == list(ladder)
+        assert [level.n for level in res.ladder] == list(range(f.n, n))
+        assert all(level.exhausted for level in res.ladder)
+        assert (res.cap, res.closed) == (n * ladder[-1] // (n - 3), True)
+        assert res.cap == value
         assert res.witness.edges == _hex_edges(witness)
         assert res.witness.edge_count == value
         assert check_free(res.witness, f) == ("subset-scan", None)
@@ -373,6 +389,64 @@ def test_search_matches_list_filter_oracle(f, n, root_symmetry, budget):
         assert res.nodes_explored == budget + 1
     assert res.value == res.witness.edge_count
     assert is_free(res.witness, f)
+
+
+def _oracle_ex(n, f):
+    value, _, _, exhausted = _list_filter_turan(n, f, 10**8, root_symmetry=True)
+    assert exhausted
+    return value
+
+
+@st.composite
+def _ladder_cases(draw):
+    """A 3-graph F on 4 or 5 vertices, n from v(F) to 6 and a node budget,
+    small enough to cut a level of the ladder now and then."""
+    f = draw(st.integers(4, 5).flatmap(lambda vf: _graphs(3, vf)))
+    n = draw(st.integers(f.n, 6))
+    return f, n, draw(st.one_of(st.none(), st.integers(1, 8), st.integers(9, 60)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_ladder_cases())
+@example((from_edges(3, 5, [(0, 1, 2)]), 6, None))
+@example((from_edges(3, 5, list(combinations(range(4), 3))), 6, None))
+@example((from_edges(3, 5, list(combinations(range(4), 3))), 6, 5))
+@example((from_edges(3, 5, list(combinations(range(4), 3))), 4, None))
+@example((from_edges(3, 4, list(combinations(range(4), 3))), 6, 2))
+def test_ladder_is_sound(case):
+    # every level the ladder searched agrees with the oracle, and the cap
+    # bounds ex(n, F) from above, for F with isolated vertices too
+    f, n, budget = case
+    budget = 10**8 if budget is None else budget
+    res = turan_number(n, f, budget=budget)
+    ex = _oracle_ex(n, f)
+    assert res.cap >= ex
+    # the search stops exactly when its incumbent meets the cap
+    assert res.closed == (res.value == res.cap)
+    if res.closed:
+        assert res.exhausted
+    if res.exhausted:
+        assert res.value == ex
+    # levels v(F), v(F)+1, ... are searched up to n-1 or the first cut one
+    assert [level.n for level in res.ladder] == list(range(f.n, f.n + len(res.ladder)))
+    assert all(level.exhausted for level in res.ladder[:-1])
+    if not res.ladder or res.ladder[-1].exhausted:
+        assert len(res.ladder) == max(n - f.n, 0)
+    for level in res.ladder:
+        if level.exhausted:
+            assert level.value == _oracle_ex(level.n, f)
+        else:
+            assert level.value <= _oracle_ex(level.n, f)
+            assert level.nodes == budget + 1
+    # the cap only stops the search early: the search without it gives the
+    # same value and witness, and a cut result the same node count
+    uncapped = _search(n, f, budget, comb(n, 3) + 1)
+    assert not uncapped.closed
+    assert (res.value, res.witness.edges) == (uncapped.value, uncapped.witness.edges)
+    if res.exhausted:
+        assert res.nodes_explored <= uncapped.nodes_explored
+    else:
+        assert res.nodes_explored == uncapped.nodes_explored == budget + 1
 
 
 def _check_index(n, f):
