@@ -21,12 +21,10 @@ import os
 import sys
 import time
 from dataclasses import asdict
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, constructions, criteria, densopt, embed, exact, partitions
-from .densopt import Quad
-from .errors import BudgetExceededError, ParameterError, ParseError
+from .errors import ParameterError, ParseError
 from .hypergraph import FamilySpec, Hypergraph, build_named, parse, serialize
 
 
@@ -55,19 +53,6 @@ def parse_family_token(token: str) -> Hypergraph:
     return parse(text)
 
 
-def _fmt(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, Quad):
-        if value.b == 0:
-            return str(value.a)
-        sign = "+" if value.b >= 0 else "-"
-        return f"{value.a} {sign} {abs(value.b)}*sqrt({value.d})"
-    if isinstance(value, float):
-        return repr(value)
-    return value
-
-
 def _flatten(payload, prefix="", out=None):
     if out is None:
         out = []
@@ -77,7 +62,6 @@ def _flatten(payload, prefix="", out=None):
         if isinstance(value, dict):
             _flatten(value, f"{name}.", out)
         else:
-            value = _fmt(value)
             if isinstance(value, (list, tuple)):
                 value = json.dumps(value)
             out.append(f"{name}: {value}")
@@ -88,12 +72,15 @@ def emit_report(args, payload: dict, graph: Hypergraph | None = None) -> None:
     if graph is not None:
         text = serialize(graph)
         if args.out:
-            Path(args.out).write_text(text)
+            try:
+                Path(args.out).write_text(text)
+            except OSError as exc:
+                raise ParameterError(f"cannot write {args.out!r}: {exc}") from None
         if args.json:
             body = dict(payload)
             if not args.out:
                 body["graph"] = text
-            print(json.dumps(body, sort_keys=True, indent=2, default=_fmt))
+            print(json.dumps(body, sort_keys=True, indent=2, default=str))
         elif args.out:
             print("\n".join(_flatten(payload)))
         else:
@@ -102,7 +89,7 @@ def emit_report(args, payload: dict, graph: Hypergraph | None = None) -> None:
             sys.stdout.write(text)
         return
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2, default=_fmt))
+        print(json.dumps(payload, sort_keys=True, indent=2, default=str))
     else:
         print("\n".join(_flatten(payload)))
 
@@ -110,7 +97,12 @@ def emit_report(args, payload: dict, graph: Hypergraph | None = None) -> None:
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("TURANSEP_SEED", "0"))
+    value = os.environ.get("TURANSEP_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ParameterError(
+            f"TURANSEP_SEED must be an integer, got {value!r}") from None
 
 
 def _graph_summary(name: str, h: Hypergraph, token: str) -> dict:
@@ -417,15 +409,13 @@ def run(argv: list[str] | None = None) -> int:
     start = time.monotonic()
     try:
         payload, code, graph = args.handler(args)
+        if args.timing:
+            payload["timing_seconds"] = round(time.monotonic() - start, 3)
+        # writes --out before it prints, so a failed write prints no report
+        emit_report(args, payload, graph)
     except (ParameterError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    if args.timing:
-        payload["timing_seconds"] = round(time.monotonic() - start, 3)
-    emit_report(args, payload, graph)
     return code
 
 

@@ -14,7 +14,7 @@ in the iterated blow-up stops below six vertices (no internal edges there).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, pairwise
 
 from . import embed
 from .errors import ConsistencyError, ParameterError
@@ -85,17 +85,11 @@ class Matching5:
 def blowup(spec: BlowupSpec) -> Hypergraph:
     """Replace vertex v by a class of spec.part_sizes[v] vertices and each
     base edge by all transversal k-sets across its classes."""
-    base = spec.base
-    offsets = [0] * base.n
-    total = 0
-    for v in range(base.n):
-        offsets[v] = total
-        total += spec.part_sizes[v]
-    classes = [range(offsets[v], offsets[v] + spec.part_sizes[v]) for v in range(base.n)]
+    classes = _consecutive(0, spec.part_sizes)
     edges = []
-    for e in base.edges:
+    for e in spec.base.edges:
         edges.extend(_transversals([classes[v] for v in e]))
-    return from_edges(base.k, total, edges)
+    return from_edges(spec.base.k, sum(spec.part_sizes), edges)
 
 
 def _transversals(ranges) -> list[tuple[int, ...]]:
@@ -105,17 +99,15 @@ def _transversals(ranges) -> list[tuple[int, ...]]:
     return [tuple(sorted(t)) for t in out]
 
 
+def _consecutive(start: int, sizes) -> list[range]:
+    """Consecutive ranges of the given sizes, the first one at start."""
+    return [range(a, b) for a, b in pairwise(accumulate(sizes, initial=start))]
+
+
 def _near_equal_split(lo: int, hi: int, parts: int) -> list[range]:
     """Split [lo, hi) into consecutive ranges, remainders to earliest parts."""
-    size = hi - lo
-    q, r = divmod(size, parts)
-    out = []
-    start = lo
-    for i in range(parts):
-        width = q + (1 if i < r else 0)
-        out.append(range(start, start + width))
-        start += width
-    return out
+    q, r = divmod(hi - lo, parts)
+    return _consecutive(lo, [q + (i < r) for i in range(parts)])
 
 
 def iterated_blowup_s6(n: int) -> Hypergraph:
@@ -172,12 +164,7 @@ def bipartite_g_edge_count(n: int) -> int:
 
 def _six_part_layers(p: SixPartParams) -> dict[str, set[tuple[int, ...]]]:
     sizes = p.sizes
-    offsets = [0] * 6
-    total = 0
-    for i in range(6):
-        offsets[i] = total
-        total += sizes[i]
-    part = [range(offsets[i], offsets[i] + sizes[i]) for i in range(6)]
+    part = _consecutive(0, sizes)
 
     transversal: set[tuple[int, ...]] = set()
     for a, b, c in ALLOWED_PART_TRIPLES:
@@ -200,7 +187,7 @@ def _six_part_layers(p: SixPartParams) -> dict[str, set[tuple[int, ...]]]:
     recursive: set[tuple[int, ...]] = set()
     for i in range(6):
         inner = iterated_blowup_s6(sizes[i])
-        off = offsets[i]
+        off = part[i].start
         recursive.update(tuple(v + off for v in e) for e in inner.edges)
 
     g_layer: set[tuple[int, ...]] = set()
@@ -208,7 +195,7 @@ def _six_part_layers(p: SixPartParams) -> dict[str, set[tuple[int, ...]]]:
     for a_idx, b_idx in ((0, 1), (3, 4)):
         s = sizes[a_idx]
         g = bipartite_g(s)
-        a_off, b_off = offsets[a_idx], offsets[b_idx]
+        a_off, b_off = part[a_idx].start, part[b_idx].start
         for e in g.edges:
             g_layer.add(tuple(sorted(
                 a_off + v if v < s else b_off + (v - s) for v in e)))
@@ -252,7 +239,7 @@ def six_part_with_breakdown(p: SixPartParams) -> tuple[Hypergraph, dict[str, int
 
 def six_part_breakdown(p: SixPartParams) -> dict[str, int]:
     """Per-layer edge counts of six_part_h(p)."""
-    return {name: len(layer) for name, layer in _six_part_layers(p).items()}
+    return six_part_with_breakdown(p)[1]
 
 
 def augment_matching(h: Hypergraph, d: Matching5 | None = None) -> Hypergraph:

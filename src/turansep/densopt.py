@@ -92,6 +92,12 @@ class Quad:
     def __lt__(self, other: "Quad") -> bool:
         return (other - self).is_positive()
 
+    def __str__(self) -> str:
+        if self.b == 0:
+            return str(self.a)
+        sign = "+" if self.b > 0 else "-"
+        return f"{self.a} {sign} {abs(self.b)}*sqrt({self.d})"
+
 
 def _squarefree_split(value: int) -> tuple[int, int]:
     """value = s^2 * d with d squarefree; returns (s, d)."""
@@ -132,14 +138,6 @@ class DensityPolynomial:
             + self.c_xy2 * x * y**2
         )
 
-    def evaluate_quad(self, x: Quad, y: Quad) -> Quad:
-        out = x * x * x
-        out = out.scale(self.c_x3)
-        out = out + (y * y * y).scale(self.c_y3)
-        out = out + (x * x * y).scale(self.c_x2y)
-        out = out + (x * y * y).scale(self.c_xy2)
-        return out
-
 
 @dataclass(frozen=True)
 class OptimumResult:
@@ -153,12 +151,10 @@ class OptimumResult:
     method: str
 
 
-def s6_star_limit_density(parts: int = 6, pattern_edges: int = len(S6_EDGES)) -> Fraction:
-    """Fixed point of e(n) = pattern_edges (n/parts)^3 + parts e(n/parts),
-    normalized by n^3/6."""
-    # c = pattern_edges/parts^3 + c/parts^2  =>  c = pattern_edges/(parts(parts^2-1))
-    c = Fraction(pattern_edges, parts * (parts**2 - 1))
-    return 6 * c
+def s6_star_limit_density() -> Fraction:
+    """Fixed point of e(n) = |S6| (n/6)^3 + 6 e(n/6), normalized by n^3/6."""
+    # c = |S6|/6^3 + c/6^2  =>  c = |S6|/(6 (6^2 - 1))
+    return 6 * Fraction(len(S6_EDGES), 6 * 35)
 
 
 def h_density_poly() -> DensityPolynomial:
@@ -222,14 +218,14 @@ def exact_count(
     return total
 
 
-def _golden_section_max(fn, lo: float, hi: float, tol: float = 1e-13) -> float:
+def _golden_section_max(fn, lo: float, hi: float) -> float:
     """Maximum value of a unimodal-enough fn on [lo, hi] (endpoint aware)."""
     invphi = (5**0.5 - 1) / 2
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
+    while b - a > 1e-13:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -244,31 +240,19 @@ def _golden_section_max(fn, lo: float, hi: float, tol: float = 1e-13) -> float:
 def maximize_constrained(poly: DensityPolynomial) -> OptimumResult:
     """Maximize the polynomial on x, y >= 0 with 4x + 2y = 1.
 
-    Substituting y = (1 - 4x)/2 reduces to a cubic on [0, 1/4]; stationary
-    points come from the quadratic formula applied to its derivative and are
-    compared exactly against the endpoints.  A golden-section search on the
-    reduced cubic must agree with the exact value to 1e-9.
+    Substituting y = 1/2 - 2x gives a cubic g on [0, 1/4], read off its
+    values d_0..d_3 at x = 0..3 (DensityPolynomial.evaluate) by Newton's
+    forward differences.  Stationary points come from the quadratic
+    formula applied to g' and are compared exactly against the endpoints.
+    A golden-section search on g must agree with the exact value to 1e-9.
     """
-    # reduced cubic g(x) = sum poly monomials with y = (1-4x)/2
     half = Fraction(1, 2)
-    # y = 1/2 - 2x; expand symbolically over rational coefficient arrays
-    # indexed by x-power
-    y_poly = (half, Fraction(-2))          # y  as polynomial in x
-    y2 = _poly_mul(y_poly, y_poly)
-    y3 = _poly_mul(y2, y_poly)
-    x_poly = (Fraction(0), Fraction(1))
-    x2 = _poly_mul(x_poly, x_poly)
-    x3 = _poly_mul(x2, x_poly)
-    g = _poly_add(
-        _poly_scale(x3, poly.c_x3),
-        _poly_scale(y3, poly.c_y3),
-        _poly_scale(_poly_mul(x2, y_poly), poly.c_x2y),
-        _poly_scale(_poly_mul(x_poly, y2), poly.c_xy2),
-    )
-    # g has degree <= 3; derivative is a quadratic a2 x^2 + a1 x + a0
-    a0 = g[1] if len(g) > 1 else Fraction(0)
-    a1 = 2 * g[2] if len(g) > 2 else Fraction(0)
-    a2 = 3 * g[3] if len(g) > 3 else Fraction(0)
+    d0, d1, d2, d3 = (poly.evaluate(Fraction(i), half - 2 * i) for i in range(4))
+    delta1, delta2, delta3 = d1 - d0, d2 - 2 * d1 + d0, d3 - 3 * d2 + 3 * d1 - d0
+    # g = d0 + delta1 x + delta2 x(x-1)/2 + delta3 x(x-1)(x-2)/6
+    g = (d0, delta1 - delta2 / 2 + delta3 / 3, (delta2 - delta3) / 2, delta3 / 6)
+    # derivative a2 x^2 + a1 x + a0
+    a0, a1, a2 = g[1], 2 * g[2], 3 * g[3]
 
     lo, hi = Fraction(0), Fraction(1, 4)
     disc_num = a1 * a1 - 4 * a2 * a0
@@ -280,9 +264,8 @@ def maximize_constrained(poly: DensityPolynomial) -> OptimumResult:
         root_coeff = Fraction(s, disc_num.denominator)  # sqrt(disc) = s/den * sqrt(d)
         for sign in (-1, 1):
             x = Quad(-a1 / (2 * a2), sign * root_coeff / (2 * a2), d_field)
-            if not (Quad.rational(lo, d_field) < x) or not (x < Quad.rational(hi, d_field)):
-                continue
-            candidates.append(x)
+            if Quad.rational(lo, d_field) < x < Quad.rational(hi, d_field):
+                candidates.append(x)
     elif a2 == 0 and a1 != 0:
         x0 = -a0 / a1
         if lo < x0 < hi:
@@ -291,15 +274,14 @@ def maximize_constrained(poly: DensityPolynomial) -> OptimumResult:
     candidates.append(Quad.rational(hi, d_field))
 
     def value_at(x: Quad) -> Quad:
-        y = Quad.rational(half, x.d) - x.scale(2)
-        return poly.evaluate_quad(x, y)
+        out = Quad.rational(g[3], x.d)
+        for c in g[2::-1]:
+            out = out * x + Quad.rational(c, x.d)
+        return out
 
-    best_x = candidates[0]
+    # the first candidate of largest value
+    best_x = max(candidates, key=value_at)
     best_val = value_at(best_x)
-    for x in candidates[1:]:
-        val = value_at(x)
-        if best_val < val:
-            best_x, best_val = x, val
     best_y = Quad.rational(half, best_x.d) - best_x.scale(2)
 
     def g_float(x: float) -> float:
@@ -320,27 +302,6 @@ def maximize_constrained(poly: DensityPolynomial) -> OptimumResult:
         cross_check_value=cross,
         method="reduced-cubic stationary points vs endpoints",
     )
-
-
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return tuple(out)
-
-
-def _poly_add(*polys):
-    size = max(len(p) for p in polys)
-    out = [Fraction(0)] * size
-    for p in polys:
-        for i, a in enumerate(p):
-            out[i] += a
-    return tuple(out)
-
-
-def _poly_scale(p, c):
-    return tuple(a * c for a in p)
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,17 @@
 import contextlib
 import io
 import json
+import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
 import time
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -333,6 +336,13 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("TURANSEP_SEED")
     _, with_flag = invoke(capsys, "crossing", str(src), "--t0", "3", "--seed", "17")
     assert with_env == with_flag
+    # a non-integer is invalid input, and --seed still wins over it
+    monkeypatch.setenv("TURANSEP_SEED", "abc")
+    assert run(["crossing", str(src), "--t0", "3"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: TURANSEP_SEED must be an integer, got 'abc'\n")
+    assert invoke(capsys, "crossing", str(src), "--t0", "3", "--seed", "17") == (
+        0, with_flag)
 
 
 def test_invalid_inputs_exit_2(tmp_path, capsys):
@@ -350,10 +360,16 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
         ["build", str(tmp_path)],
         ["free-check", "S6", str(tmp_path)],
         ["build", str(binary)],
+        # --out that cannot be written: no report is printed
+        ["build", "S6", "--out", str(tmp_path / "missing" / "s6.hg")],
+        ["construct", "s6star", "7", "--out", str(tmp_path)],
     ):
         assert run(argv) == 2, argv
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert out == "", argv
+    run(["build", "S6", "--out", str(tmp_path)])
+    assert capsys.readouterr().err.startswith(f"error: cannot write {str(tmp_path)!r}: ")
 
 
 def test_free_check_six_part_file(tmp_path, capsys):
@@ -376,6 +392,22 @@ def test_reports_are_reproducible(capsys):
     a = invoke(capsys, "separate", "K:6,3", "K:5,3")
     b = invoke(capsys, "separate", "K:6,3", "K:5,3")
     assert a == b
+
+
+def test_readme_cli_lines_exit_as_stated():
+    # each line of README's CLI block exits with the code its comment
+    # states, else 0; the lines that read a file of the reader's own are
+    # not run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if "my_graph.hg" not in line]
+    assert len(lines) == 13
+    for line in lines:
+        command, _, comment = line.partition("#")
+        words = shlex.split(command)
+        stated = re.search(r"exit (\d)", comment)
+        assert words[0] == "turansep", line
+        assert _run_captured(words[1:])[0] == (int(stated[1]) if stated else 0), line
 
 
 def _tokens(k):
@@ -466,17 +498,17 @@ def _without_echoes(out):
                     or line.partition(":")[0].endswith(".token"))]
 
 
-def _check_file_family(argv):
-    """The family at argv[2] given as a file holding its graph gets the
+def _check_file_family(argv, i=2):
+    """The family at argv[i] given as a file holding its graph gets the
     token's exit code and report, but for the echoed argument."""
     try:
-        h = parse_family_token(argv[2])
+        h = parse_family_token(argv[i])
     except ParameterError:
         return
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "family.hg"
         path.write_text(serialize(h))
-        file_argv = argv[:2] + [str(path)] + argv[3:]
+        file_argv = argv[:i] + [str(path)] + argv[i + 1:]
         code, out, _ = _run_captured(argv)
         file_code, file_out, _ = _run_captured(file_argv)
     assert (file_code, _without_echoes(file_out)) == (code, _without_echoes(out)), argv
@@ -489,6 +521,8 @@ def test_cli_fuzz_exit_contract(case):
     _check_exit_contract(argv)
     if as_file:
         _check_file_family(argv)
+        if argv[0] in ("free-check", "contains"):
+            _check_file_family(argv, 1)
 
 
 def _params(draw, count, top=3):
@@ -504,10 +538,12 @@ def _params(draw, count, top=3):
 def _fuzz_builder_argv(draw):
     """A builder, or crossing on a host file; the host's header and edges
     are returned for the test to write, by hand, so that k = 1 reaches the
-    parser."""
+    parser.  Also drawn: where --out points (None for no --out), a
+    TURANSEP_SEED for crossing without --seed, and whether blowup's base
+    is also run as a file holding its graph."""
     builder = draw(st.sampled_from(
         ["s6star", "bipartite-g", "six-part", "blowup", "crossing"]))
-    host = None
+    host = env_seed = None
     if builder == "crossing":
         k = draw(st.integers(1, 4))
         n = draw(st.integers(0, 9))
@@ -518,8 +554,12 @@ def _fuzz_builder_argv(draw):
         divisors = [d for d in range(k, n + 1) if n % d == 0] or [k]
         t0 = draw(st.one_of(st.sampled_from(divisors), st.integers(-1, 9)))
         argv = ["crossing", None, "--t0", str(t0),
-                "--trials", str(draw(st.integers(-1, 30))),
-                "--seed", str(draw(st.integers(-5, 2**40)))]
+                "--trials", str(draw(st.integers(-1, 30)))]
+        if draw(st.booleans()):
+            argv += ["--seed", str(draw(st.integers(-5, 2**40)))]
+        else:
+            env_seed = draw(st.one_of(st.integers(-5, 2**40).map(str),
+                                      st.sampled_from(["abc", "1.5", ""])))
     elif builder == "s6star":
         # cheap enough to build on a few dozen vertices
         argv = ["construct", builder] + _params(draw, 1, top=30)
@@ -531,18 +571,26 @@ def _fuzz_builder_argv(draw):
         argv = ["construct", builder, "S6"] + _params(draw, 6)
     if draw(st.booleans()):
         argv.append("--json")
-    return argv, host
+    out = draw(st.sampled_from([None, "file", "missing-dir", "dir"]))
+    return argv, host, out, env_seed, draw(st.booleans())
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_fuzz_builder_argv())
 def test_cli_fuzz_builders_and_crossing(case):
-    argv, host = case
-    with tempfile.TemporaryDirectory() as tmp:
+    argv, host, out, env_seed, as_file = case
+    env = {} if env_seed is None else {"TURANSEP_SEED": env_seed}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env):
         if host is not None:
             k, n, edges = host
             path = Path(tmp) / "host.hg"
             path.write_text(f"{k} {n}\n" + "".join(
                 " ".join(map(str, e)) + "\n" for e in edges))
             argv = [str(path) if a is None else a for a in argv]
+        if out is not None:
+            argv += ["--out", {"file": str(Path(tmp) / "out.hg"),
+                               "missing-dir": str(Path(tmp) / "missing" / "out.hg"),
+                               "dir": tmp}[out]]
         _check_exit_contract(argv)
+        if as_file and argv[1] == "blowup":
+            _check_file_family(argv)

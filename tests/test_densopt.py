@@ -123,6 +123,25 @@ def test_maximize_degenerate_polynomials():
     assert opt.exact_value == Quad.rational(Fraction(1, 48), 1)
 
 
+def test_maximize_perfect_square_discriminant():
+    # x y^2: g' = (4x - 1)(12x - 1)/4 has rational roots, so the field is
+    # Q(sqrt 1) and the stationary point keeps a sqrt(1) part
+    opt = maximize_constrained(
+        DensityPolynomial(Fraction(0), Fraction(0), Fraction(0), Fraction(1)))
+    assert opt.exact_x == Quad(Fraction(1, 6), Fraction(-1, 12), 1)
+    assert opt.exact_y == Quad(Fraction(1, 6), Fraction(1, 6), 1)
+    assert opt.exact_value == Quad(Fraction(1, 216), Fraction(1, 216), 1)
+    assert opt.x_star == 1 / 12 and opt.value == 1 / 108
+
+
+def test_quad_text():
+    assert str(Quad(Fraction(3, 7), Fraction(0), 5)) == "3/7"
+    assert str(Quad(Fraction(1, 4), Fraction(1, 12), 17)) == "1/4 + 1/12*sqrt(17)"
+    assert str(Quad(Fraction(45, 184), Fraction(-1, 184), 277)) == (
+        "45/184 - 1/184*sqrt(277)")
+    assert str(Quad(Fraction(-2), Fraction(-3, 2), 3)) == "-2 - 3/2*sqrt(3)"
+
+
 def test_reference_bounds():
     table = reference_bounds()
     chung_lu = table["chung_lu_k4_upper"]
