@@ -37,7 +37,6 @@ from .criteria import (
 )
 from .constructions import (
     BlowupSpec,
-    Matching5,
     SixPartParams,
     augment_matching,
     bipartite_g,

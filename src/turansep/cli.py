@@ -7,9 +7,12 @@ report; 2 invalid input; 3 search budget exhausted.
 
 Family arguments accept ``K:l,k`` (complete), ``K-:l,k`` (complete minus
 an edge), ``D:t,k`` (daisy), ``S6``, or a path to a hypergraph file.
-Reports are byte-identical for equal inputs, seed and version; --threads
-is accepted for compatibility and has no effect; timing is only emitted
-under --timing.
+Every subcommand takes --json, --threads and --timing; --out is taken by
+build and construct, --budget by turan, condition1 and separate, and
+--seed by crossing.  A flag given to a subcommand that does not read it
+exits 2.  Reports are byte-identical for equal inputs, seed and version;
+--threads is accepted for compatibility and has no effect; timing is only
+emitted under --timing.
 """
 
 from __future__ import annotations
@@ -307,19 +310,19 @@ def cmd_crossing(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--json", action="store_true",
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true",
                         help="emit the report as JSON")
-    shared.add_argument("--seed", type=int, default=None,
-                        help="random seed (default: TURANSEP_SEED or 0)")
-    shared.add_argument("--threads", type=int, default=1,
+    common.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; has no effect")
-    shared.add_argument("--budget", type=int, default=exact.DEFAULT_BUDGET,
-                        help="node budget for each exact search")
-    shared.add_argument("--timing", action="store_true",
+    common.add_argument("--timing", action="store_true",
                         help="include elapsed time in the report")
-    shared.add_argument("--out", default=None,
-                        help="write an emitted hypergraph to this file")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None,
+                     help="write an emitted hypergraph to this file")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int, default=exact.DEFAULT_BUDGET,
+                        help="node budget for each exact search")
 
     parser = argparse.ArgumentParser(
         prog="turansep",
@@ -327,48 +330,48 @@ def build_parser() -> argparse.ArgumentParser:
                     "Turan densities.")
     sub = parser.add_subparsers(dest="subcommand")
 
-    p = sub.add_parser("build", parents=[shared],
+    p = sub.add_parser("build", parents=[common, out],
                        help="emit a named family as a hypergraph file")
     p.add_argument("family")
     p.set_defaults(handler=cmd_build)
 
-    p = sub.add_parser("contains", parents=[shared],
+    p = sub.add_parser("contains", parents=[common],
                        help="search for a copy of F in H")
     p.add_argument("host")
     p.add_argument("target")
     p.set_defaults(handler=cmd_contains)
 
-    p = sub.add_parser("free-check", parents=[shared],
+    p = sub.add_parser("free-check", parents=[common],
                        help="verify that H contains no copy of F")
     p.add_argument("host")
     p.add_argument("target")
     p.set_defaults(handler=cmd_free_check)
 
-    p = sub.add_parser("turan", parents=[shared],
+    p = sub.add_parser("turan", parents=[common, budget],
                        help="exact Turan number ex(n, F)")
     p.add_argument("n", type=int)
     p.add_argument("family")
     p.set_defaults(handler=cmd_turan)
 
-    p = sub.add_parser("condition1", parents=[shared],
+    p = sub.add_parser("condition1", parents=[common, budget],
                        help="decide separation condition (1) for (F, F')")
     p.add_argument("family")
     p.add_argument("subfamily")
     p.set_defaults(handler=cmd_condition1)
 
-    p = sub.add_parser("condition2", parents=[shared],
+    p = sub.add_parser("condition2", parents=[common],
                        help="decide separation condition (2) for (F, F')")
     p.add_argument("family")
     p.add_argument("subfamily")
     p.set_defaults(handler=cmd_condition2)
 
-    p = sub.add_parser("separate", parents=[shared],
+    p = sub.add_parser("separate", parents=[common, budget],
                        help="run both separation criteria on (F, F')")
     p.add_argument("family")
     p.add_argument("subfamily")
     p.set_defaults(handler=cmd_separate)
 
-    p = sub.add_parser("construct", parents=[shared],
+    p = sub.add_parser("construct", parents=[common, out],
                        help="build a lower-bound construction")
     p.add_argument("builder",
                    choices=["s6star", "bipartite-g", "six-part", "blowup",
@@ -376,15 +379,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="*")
     p.set_defaults(handler=cmd_construct)
 
-    p = sub.add_parser("densopt", parents=[shared],
+    p = sub.add_parser("densopt", parents=[common],
                        help="maximize the six-part density polynomial")
     p.set_defaults(handler=cmd_densopt)
 
-    p = sub.add_parser("crossing", parents=[shared],
+    p = sub.add_parser("crossing", parents=[common],
                        help="crossing-edge expectation check")
     p.add_argument("host")
     p.add_argument("--t0", type=int, required=True)
     p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=None,
+                   help="random seed (default: TURANSEP_SEED or 0)")
     p.set_defaults(handler=cmd_crossing)
 
     return parser

@@ -61,27 +61,6 @@ class SixPartParams:
         return sum(self.sizes)
 
 
-@dataclass(frozen=True)
-class Matching5:
-    """Pairwise disjoint 5-element vertex subsets."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for b in self.blocks:
-            if len(b) != 5 or len(set(b)) != 5:
-                raise ParameterError(f"block {b} is not a 5-set")
-            if seen.intersection(b):
-                raise ParameterError(f"block {b} overlaps an earlier block")
-            seen.update(b)
-
-    @classmethod
-    def consecutive(cls, n: int) -> "Matching5":
-        """Blocks {5t..5t+4} for t = 0..floor(n/5)-1."""
-        return cls(tuple(tuple(range(5 * t, 5 * t + 5)) for t in range(n // 5)))
-
-
 def blowup(spec: BlowupSpec) -> Hypergraph:
     """Replace vertex v by a class of spec.part_sizes[v] vertices and each
     base edge by all transversal k-sets across its classes."""
@@ -242,24 +221,21 @@ def six_part_breakdown(p: SixPartParams) -> dict[str, int]:
     return six_part_with_breakdown(p)[1]
 
 
-def augment_matching(h: Hypergraph, d: Matching5 | None = None) -> Hypergraph:
+def augment_matching(h: Hypergraph) -> Hypergraph:
     """Add, on each 5-set of the matching, its smallest missing triple.
 
-    Requires a K4-free 3-graph; the default matching is the consecutive
-    blocks of Matching5.consecutive(n).  The result has e(H) + |D| edges
-    and stays K5-minus-free because added edges live in disjoint 5-sets.
+    Requires a K4-free 3-graph.  Augmentation always uses the matching of
+    consecutive blocks {5t..5t+4} for t < floor(n/5).  The result has
+    e(H) + floor(n/5) edges and stays K5-minus-free because added edges
+    live in disjoint 5-sets.
     """
     if h.k != 3:
         raise ParameterError(f"augmentation applies to 3-graphs, got k={h.k}")
     if not embed.is_free(h, build_named(FamilySpec.complete(4, 3))):
         raise ParameterError("input graph contains a complete 4-vertex 3-graph")
-    if d is None:
-        d = Matching5.consecutive(h.n)
-    for block in d.blocks:
-        if any(v < 0 or v >= h.n for v in block):
-            raise ParameterError(f"block {block} out of range [0, {h.n})")
     added = []
-    for block in d.blocks:
+    for t in range(h.n // 5):
+        block = tuple(range(5 * t, 5 * t + 5))
         gaps = missing_edges(h, block)
         if not gaps:
             raise ConsistencyError(

@@ -263,7 +263,9 @@ def maximize_constrained(poly: DensityPolynomial) -> OptimumResult:
             disc_num.numerator * disc_num.denominator)
         root_coeff = Fraction(s, disc_num.denominator)  # sqrt(disc) = s/den * sqrt(d)
         for sign in (-1, 1):
-            x = Quad(-a1 / (2 * a2), sign * root_coeff / (2 * a2), d_field)
+            a, b = -a1 / (2 * a2), sign * root_coeff / (2 * a2)
+            # a perfect-square discriminant gives rational roots
+            x = Quad.rational(a + b, 1) if d_field == 1 else Quad(a, b, d_field)
             if Quad.rational(lo, d_field) < x < Quad.rational(hi, d_field):
                 candidates.append(x)
     elif a2 == 0 and a1 != 0:

@@ -1,6 +1,7 @@
 """CLI surface: tokens, reports, exit codes, witnesses, determinism."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tomllib
 from itertools import combinations
 from pathlib import Path
 from unittest import mock
@@ -295,12 +297,13 @@ def test_reused_parser_matches_fresh_processes(tmp_path, capsys, monkeypatch):
         ["turan", "6", "K:4,3", "--budget", "5", "--json"],
         ["turan", "x", "K:4,3"],
         ["free-check", str(host), "K:4,3", "--timing"],
-        ["free-check", str(host), "D:2,3", "--json", "--timing", "--seed", "3"],
+        ["free-check", str(host), "D:2,3", "--json", "--timing"],
         [],
         ["construct", "s6star", "abc"],
         ["contains", "K-:5,3", "K:4,3", "--json"],
         ["turan", "5", "K:4,3"],
         ["crossing", str(host), "--t0", "3", "--trials", "50", "--json"],
+        ["densopt", "--out", "x.hg"],
     ]
     # the usage text wraps at the terminal width, and the reported time varies
     env = {"PATH": "", "COLUMNS": "80",
@@ -323,8 +326,9 @@ def test_reused_parser_matches_fresh_processes(tmp_path, capsys, monkeypatch):
              "import sys; from turansep.cli import run; sys.exit(run(sys.argv[1:]))",
              *argv], capture_output=True, text=True, env=env, cwd=tmp_path)
         fresh.append((proc.returncode, untimed(proc.stdout), proc.stderr))
-    assert [c for c, _, _ in in_process] == [0, 0, 3, 2, 0, 1, 2, 2, 0, 0, 0]
+    assert [c for c, _, _ in in_process] == [0, 0, 3, 2, 0, 1, 2, 2, 0, 0, 0, 2]
     assert in_process == fresh
+    assert not (tmp_path / "x.hg").exists()
 
 
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
@@ -370,6 +374,61 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
         assert out == "", argv
     run(["build", "S6", "--out", str(tmp_path)])
     assert capsys.readouterr().err.startswith(f"error: cannot write {str(tmp_path)!r}: ")
+
+
+# a cheap command line of each subcommand, and the subcommands that read
+# each flag beyond --json, --threads and --timing
+_COMMAND_LINES = {
+    "build": ["build", "S6"],
+    "contains": ["contains", "K-:5,3", "K:4,3"],
+    "free-check": ["free-check", "S6", "K:4,3"],
+    "turan": ["turan", "5", "K:4,3"],
+    "condition1": ["condition1", "D:4,4", "D:2,4"],
+    "condition2": ["condition2", "K-:5,3", "K:4,3"],
+    "separate": ["separate", "K:5,3", "K:4,3"],
+    "construct": ["construct", "s6star", "7"],
+    "densopt": ["densopt"],
+    "crossing": ["crossing", "K:6,3", "--t0", "3", "--trials", "10"],
+}
+_FLAG_READERS = {
+    "--out": {"build", "construct"},
+    "--budget": {"turan", "condition1", "separate"},
+    "--seed": {"crossing"},
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_FLAG_READERS))
+@pytest.mark.parametrize("command", sorted(_COMMAND_LINES))
+def test_flag_placement(command, flag, tmp_path):
+    # a flag is accepted only where it is read; anywhere else it is
+    # invalid input, not a flag that is silently dropped
+    value = {"--out": str(tmp_path / "F"), "--budget": "5", "--seed": "1"}[flag]
+    code, out, err = _run_captured(_COMMAND_LINES[command] + [flag, value])
+    if command in _FLAG_READERS[flag]:
+        assert code in (0, 1, 3) and err == ""
+        assert (tmp_path / "F").exists() == (flag == "--out")
+    else:
+        assert (code, out) == (2, "")
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"turansep: error: unrecognized arguments: {flag} {value}"]
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_console_script_exit_codes(tmp_path, capsys, monkeypatch):
+    # the turansep script of pyproject.toml, called as an installed one is
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["turansep"]
+    module, _, name = target.partition(":")
+    main = getattr(importlib.import_module(module), name)
+    monkeypatch.chdir(tmp_path)
+    for argv, code in ((["separate", "K:5,3", "K:4,3"], 0),
+                       (["densopt", "--out", "x.hg"], 2)):
+        monkeypatch.setattr(sys, "argv", ["turansep", *argv])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == code, argv
+    assert "verdict: separated" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_free_check_six_part_file(tmp_path, capsys):
@@ -442,7 +501,8 @@ def _fuzz_argv(draw):
         # a target that does not fit on the host vertices
         n = draw(st.integers(0, 20))
         argv = [command, str(n), f"K:{n + 1},3"]
-    argv += ["--budget", str(draw(st.integers(1, 200)))]
+    if command in ("turan", "condition1", "separate"):
+        argv += ["--budget", str(draw(st.integers(1, 200)))]
     if draw(st.booleans()):
         argv.append("--json")
     return argv, draw(st.booleans())
@@ -538,9 +598,10 @@ def _params(draw, count, top=3):
 def _fuzz_builder_argv(draw):
     """A builder, or crossing on a host file; the host's header and edges
     are returned for the test to write, by hand, so that k = 1 reaches the
-    parser.  Also drawn: where --out points (None for no --out), a
-    TURANSEP_SEED for crossing without --seed, and whether blowup's base
-    is also run as a file holding its graph."""
+    parser.  Also drawn: where a builder's --out points (None for no
+    --out, always for crossing), a TURANSEP_SEED for crossing without
+    --seed, and whether blowup's base is also run as a file holding its
+    graph."""
     builder = draw(st.sampled_from(
         ["s6star", "bipartite-g", "six-part", "blowup", "crossing"]))
     host = env_seed = None
@@ -571,7 +632,8 @@ def _fuzz_builder_argv(draw):
         argv = ["construct", builder, "S6"] + _params(draw, 6)
     if draw(st.booleans()):
         argv.append("--json")
-    out = draw(st.sampled_from([None, "file", "missing-dir", "dir"]))
+    out = None if builder == "crossing" else draw(
+        st.sampled_from([None, "file", "missing-dir", "dir"]))
     return argv, host, out, env_seed, draw(st.booleans())
 
 

@@ -9,7 +9,6 @@ import pytest
 from turansep.constructions import (
     ALLOWED_PART_TRIPLES,
     BlowupSpec,
-    Matching5,
     SixPartParams,
     augment_matching,
     bipartite_g,
@@ -189,15 +188,6 @@ def test_six_part_five_set_case_analysis():
             assert spanned <= 8
 
 
-def test_matching5_validation():
-    with pytest.raises(ParameterError):
-        Matching5(((0, 1, 2, 3),))
-    with pytest.raises(ParameterError):
-        Matching5(((0, 1, 2, 3, 4), (4, 5, 6, 7, 8)))
-    m = Matching5.consecutive(13)
-    assert m.blocks == ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9))
-
-
 def test_augment_empty_graph():
     out = augment_matching(Hypergraph(3, 10, ()))
     assert out.edge_count == 2
@@ -231,11 +221,3 @@ def test_augment_rejects_non_k4_free():
             augment_matching(host)
     with pytest.raises(ParameterError):
         augment_matching(build_named(FamilySpec.complete(5, 4)))
-
-
-def test_augment_custom_matching():
-    h = Hypergraph(3, 12, ())
-    out = augment_matching(h, Matching5(((1, 3, 5, 7, 9), (0, 2, 4, 6, 8))))
-    assert out.edge_count == 2
-    with pytest.raises(ParameterError):
-        augment_matching(h, Matching5(((8, 9, 10, 11, 12),)))

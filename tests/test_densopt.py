@@ -124,13 +124,15 @@ def test_maximize_degenerate_polynomials():
 
 
 def test_maximize_perfect_square_discriminant():
-    # x y^2: g' = (4x - 1)(12x - 1)/4 has rational roots, so the field is
-    # Q(sqrt 1) and the stationary point keeps a sqrt(1) part
+    # x y^2: g' = (4x - 1)(12x - 1)/4 has rational roots, so the optimum
+    # is rational and carries no sqrt(1) part
     opt = maximize_constrained(
         DensityPolynomial(Fraction(0), Fraction(0), Fraction(0), Fraction(1)))
-    assert opt.exact_x == Quad(Fraction(1, 6), Fraction(-1, 12), 1)
-    assert opt.exact_y == Quad(Fraction(1, 6), Fraction(1, 6), 1)
-    assert opt.exact_value == Quad(Fraction(1, 216), Fraction(1, 216), 1)
+    assert opt.exact_x == Quad.rational(Fraction(1, 12), 1)
+    assert opt.exact_y == Quad.rational(Fraction(1, 3), 1)
+    assert opt.exact_value == Quad.rational(Fraction(1, 108), 1)
+    assert [str(q) for q in (opt.exact_x, opt.exact_y, opt.exact_value)] == [
+        "1/12", "1/3", "1/108"]
     assert opt.x_star == 1 / 12 and opt.value == 1 / 108
 
 
