@@ -1,18 +1,23 @@
 """Command-line entry point.
 
 Every library operation is exposed as a subcommand emitting a structured
-report (stable text form by default, JSON with --json).  Exit codes:
-0 success / property holds; 1 property violated, with a witness in the
-report; 2 invalid input; 3 search budget exhausted.
+report (stable text form by default, JSON with --json).  Each ``cmd_*``
+handler returns the fields it computes, a verdict and the graph it
+emits, if any; ``run`` writes the envelope every report carries
+(``command``, ``version`` and, under --timing, ``timing_seconds``) and
+maps the verdict to the exit code: True 0 (success / property holds),
+False 1 (property violated, with a witness in the report), None 3
+(search budget exhausted).  Invalid input exits 2.
 
 Family arguments accept ``K:l,k`` (complete), ``K-:l,k`` (complete minus
 an edge), ``D:t,k`` (daisy), ``S6``, or a path to a hypergraph file.
 Every subcommand takes --json, --threads and --timing; --out is taken by
 build and construct, --budget by turan, condition1 and separate, and
 --seed by crossing.  A flag given to a subcommand that does not read it
-exits 2.  Reports are byte-identical for equal inputs, seed and version;
---threads is accepted for compatibility and has no effect; timing is only
-emitted under --timing.
+exits 2 under that subcommand's usage.  Reports are byte-identical for
+equal inputs, seed and version; --threads is accepted for compatibility
+and has no effect; timing is only emitted under --timing.  ``python -m
+turansep.cli`` runs the same command as the ``turansep`` script.
 """
 
 from __future__ import annotations
@@ -108,51 +113,54 @@ def _seed(args) -> int:
             f"TURANSEP_SEED must be an integer, got {value!r}") from None
 
 
-def _graph_summary(name: str, h: Hypergraph, token: str) -> dict:
-    return {name: {"token": token, "k": h.k, "n": h.n, "edges": h.edge_count}}
+def _summary(h: Hypergraph, token: str) -> dict:
+    return {"token": token, "k": h.k, "n": h.n, "edges": h.edge_count}
+
+
+def _host_and_target(args):
+    """H and F of contains and free-check, with the summaries of both."""
+    h = parse_family_token(args.host)
+    f = parse_family_token(args.target)
+    return h, f, {"host": _summary(h, args.host), "target": _summary(f, args.target)}
+
+
+def _family_pair(args):
+    """F and F' of the separation commands, with the fields echoing them."""
+    f = parse_family_token(args.family)
+    fs = parse_family_token(args.subfamily)
+    return f, fs, {"f": args.family, "f_sub": args.subfamily}
 
 
 def cmd_build(args):
     h = parse_family_token(args.family)
-    payload = {"command": "build", "version": __version__}
-    payload.update(_graph_summary("input", h, args.family))
-    return payload, 0, h
+    return {"input": _summary(h, args.family)}, True, h
 
 
 def cmd_contains(args):
-    h = parse_family_token(args.host)
-    f = parse_family_token(args.target)
+    h, f, fields = _host_and_target(args)
     emb = embed.contains(h, f)
-    payload = {"command": "contains", "version": __version__,
-               "found": emb is not None}
-    payload.update(_graph_summary("host", h, args.host))
-    payload.update(_graph_summary("target", f, args.target))
+    fields["found"] = emb is not None
     if emb is not None:
-        payload["embedding"] = list(emb.mapping)
-    return payload, 0 if emb is not None else 1, None
+        fields["embedding"] = list(emb.mapping)
+    return fields, emb is not None, None
 
 
 def cmd_free_check(args):
-    h = parse_family_token(args.host)
-    f = parse_family_token(args.target)
+    h, f, fields = _host_and_target(args)
     method, violation = embed.check_free(h, f)
-    payload = {"command": "free-check", "version": __version__,
-               "method": method, "free": violation is None}
-    payload.update(_graph_summary("host", h, args.host))
-    payload.update(_graph_summary("target", f, args.target))
+    fields.update(method=method, free=violation is None)
     if isinstance(violation, embed.Embedding):
-        payload["violation"] = {"embedding": list(violation.mapping)}
+        fields["violation"] = {"embedding": list(violation.mapping)}
     elif violation is not None:
         subset, count = violation
-        payload["violation"] = {"subset": list(subset), "spanned": count}
-    return payload, 0 if violation is None else 1, None
+        fields["violation"] = {"subset": list(subset), "spanned": count}
+    return fields, violation is None, None
 
 
 def cmd_turan(args):
     f = parse_family_token(args.family)
     result = exact.turan_number(args.n, f, budget=args.budget)
-    payload = {
-        "command": "turan", "version": __version__,
+    fields = {
         "n": args.n, "family": args.family,
         "value": result.value,
         "exhausted": result.exhausted,
@@ -161,21 +169,14 @@ def cmd_turan(args):
         "cap": {"value": result.cap, "closed": result.closed,
                 "ladder": [asdict(level) for level in result.ladder]},
     }
-    return payload, 0 if result.exhausted else 3, None
+    return fields, True if result.exhausted else None, None
 
 
-def _condition1_payload(r: criteria.Condition1Result) -> dict:
-    return {
-        "m": r.m,
-        "ex_value": r.ex_value,
-        "ex_exhausted": r.ex_exhausted,
-        "floor_product": r.floor_product,
-        "e_f": r.e_f,
-        "holds": "unknown" if r.holds is None else r.holds,
-    }
+def _condition1_fields(r: criteria.Condition1Result) -> dict:
+    return {**asdict(r), "holds": "unknown" if r.holds is None else r.holds}
 
 
-def _condition2_payload(r: criteria.Condition2Result) -> dict:
+def _condition2_fields(r: criteria.Condition2Result) -> dict:
     out: dict = {"holds": r.holds, "partitions_checked": r.partitions_checked}
     if r.counterexample is not None:
         out["counterexample_partition"] = [list(p) for p in r.counterexample]
@@ -183,46 +184,34 @@ def _condition2_payload(r: criteria.Condition2Result) -> dict:
 
 
 def cmd_condition1(args):
-    f = parse_family_token(args.family)
-    fs = parse_family_token(args.subfamily)
+    f, fs, fields = _family_pair(args)
     r = criteria.check_condition1(f, fs, budget=args.budget)
-    payload = {"command": "condition1", "version": __version__,
-               "f": args.family, "f_sub": args.subfamily,
-               "condition1": _condition1_payload(r)}
-    if r.holds is None:
-        return payload, 3, None
-    return payload, 0 if r.holds else 1, None
+    fields["condition1"] = _condition1_fields(r)
+    return fields, r.holds, None
 
 
 def cmd_condition2(args):
-    f = parse_family_token(args.family)
-    fs = parse_family_token(args.subfamily)
+    f, fs, fields = _family_pair(args)
     r = criteria.check_condition2(f, fs)
-    payload = {"command": "condition2", "version": __version__,
-               "f": args.family, "f_sub": args.subfamily,
-               "condition2": _condition2_payload(r)}
-    return payload, 0 if r.holds else 1, None
+    fields["condition2"] = _condition2_fields(r)
+    return fields, r.holds, None
 
 
 def cmd_separate(args):
-    f = parse_family_token(args.family)
-    fs = parse_family_token(args.subfamily)
+    f, fs, fields = _family_pair(args)
     report = criteria.separate(f, fs, budget=args.budget)
-    payload = {
-        "command": "separate", "version": __version__,
-        "f": args.family, "f_sub": args.subfamily,
-        "condition1": _condition1_payload(report.condition1),
-        "condition2": _condition2_payload(report.condition2),
-        "verdict": report.verdict,
-    }
-    if report.verdict != "separated" and report.condition1.holds is None:
-        # condition 2 failed, so only the cut condition 1 could separate
-        return payload, 3, None
-    return payload, 0 if report.verdict == "separated" else 1, None
+    fields.update(condition1=_condition1_fields(report.condition1),
+                  condition2=_condition2_fields(report.condition2),
+                  verdict=report.verdict)
+    if report.verdict == "separated":
+        return fields, True, None
+    # condition 2 failed, so the verdict is condition 1's: False, or None
+    # when the budget cut its search
+    return fields, report.condition1.holds, None
 
 
 def cmd_construct(args):
-    payload = {"command": f"construct {args.builder}", "version": __version__}
+    fields = {"command": f"construct {args.builder}"}
     if args.builder == "s6star":
         h = constructions.iterated_blowup_s6(_one_int(args, "n"))
     elif args.builder == "bipartite-g":
@@ -230,7 +219,7 @@ def cmd_construct(args):
     elif args.builder == "six-part":
         sizes = _ints(args, 6)
         params = constructions.SixPartParams(tuple(sizes))
-        h, payload["layer_counts"] = constructions.six_part_with_breakdown(params)
+        h, fields["layer_counts"] = constructions.six_part_with_breakdown(params)
     elif args.builder == "blowup":
         if not args.params:
             raise ParameterError("blowup needs a base family and part sizes")
@@ -242,9 +231,9 @@ def cmd_construct(args):
             raise ParameterError("augment needs a hypergraph file")
         base = parse_family_token(args.params[0])
         h = constructions.augment_matching(base)
-        payload["added_edges"] = h.edge_count - base.edge_count
-    payload["result"] = {"k": h.k, "n": h.n, "edges": h.edge_count}
-    return payload, 0, h
+        fields["added_edges"] = h.edge_count - base.edge_count
+    fields["result"] = {"k": h.k, "n": h.n, "edges": h.edge_count}
+    return fields, True, h
 
 
 def _one_int(args, name) -> int:
@@ -271,8 +260,7 @@ def cmd_densopt(args):
     poly = densopt.h_density_poly()
     opt = densopt.maximize_constrained(poly)
     bounds = densopt.reference_bounds()
-    payload = {
-        "command": "densopt", "version": __version__,
+    fields = {
         "polynomial": {
             "x3": poly.c_x3, "y3": poly.c_y3,
             "x2y": poly.c_x2y, "xy2": poly.c_xy2,
@@ -289,24 +277,22 @@ def cmd_densopt(args):
             for name, b in bounds.items()
         },
     }
-    return payload, 0, None
+    return fields, True, None
 
 
 def cmd_crossing(args):
     h = parse_family_token(args.host)
-    report = partitions.expectation_check(
-        h, args.t0, trials=args.trials, seed=_seed(args))
-    payload = {
-        "command": "crossing", "version": __version__,
-        "host": args.host, "t0": args.t0, "trials": args.trials,
-        "seed": report.seed,
+    seed = _seed(args)
+    report = partitions.expectation_check(h, args.t0, trials=args.trials, seed=seed)
+    fields = {
+        "host": args.host, "t0": args.t0, "trials": args.trials, "seed": seed,
         "crossing_probability": partitions.crossing_probability(
             h.n, h.k, args.t0),
         "empirical_mean": report.empirical_mean,
         "exact_expectation": report.exact_expectation,
         "z_score": report.z_score,
     }
-    return payload, 0, None
+    return fields, True, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,67 +316,56 @@ def build_parser() -> argparse.ArgumentParser:
                     "Turan densities.")
     sub = parser.add_subparsers(dest="subcommand")
 
-    p = sub.add_parser("build", parents=[common, out],
-                       help="emit a named family as a hypergraph file")
+    def add(name, handler, parents, summary):
+        p = sub.add_parser(name, parents=[common, *parents], help=summary)
+        # run reports an unrecognized argument through this parser
+        p.set_defaults(handler=handler, subparser=p)
+        return p
+
+    p = add("build", cmd_build, [out], "emit a named family as a hypergraph file")
     p.add_argument("family")
-    p.set_defaults(handler=cmd_build)
 
-    p = sub.add_parser("contains", parents=[common],
-                       help="search for a copy of F in H")
+    p = add("contains", cmd_contains, [], "search for a copy of F in H")
     p.add_argument("host")
     p.add_argument("target")
-    p.set_defaults(handler=cmd_contains)
 
-    p = sub.add_parser("free-check", parents=[common],
-                       help="verify that H contains no copy of F")
+    p = add("free-check", cmd_free_check, [], "verify that H contains no copy of F")
     p.add_argument("host")
     p.add_argument("target")
-    p.set_defaults(handler=cmd_free_check)
 
-    p = sub.add_parser("turan", parents=[common, budget],
-                       help="exact Turan number ex(n, F)")
+    p = add("turan", cmd_turan, [budget], "exact Turan number ex(n, F)")
     p.add_argument("n", type=int)
     p.add_argument("family")
-    p.set_defaults(handler=cmd_turan)
 
-    p = sub.add_parser("condition1", parents=[common, budget],
-                       help="decide separation condition (1) for (F, F')")
+    p = add("condition1", cmd_condition1, [budget],
+            "decide separation condition (1) for (F, F')")
     p.add_argument("family")
     p.add_argument("subfamily")
-    p.set_defaults(handler=cmd_condition1)
 
-    p = sub.add_parser("condition2", parents=[common],
-                       help="decide separation condition (2) for (F, F')")
+    p = add("condition2", cmd_condition2, [],
+            "decide separation condition (2) for (F, F')")
     p.add_argument("family")
     p.add_argument("subfamily")
-    p.set_defaults(handler=cmd_condition2)
 
-    p = sub.add_parser("separate", parents=[common, budget],
-                       help="run both separation criteria on (F, F')")
+    p = add("separate", cmd_separate, [budget],
+            "run both separation criteria on (F, F')")
     p.add_argument("family")
     p.add_argument("subfamily")
-    p.set_defaults(handler=cmd_separate)
 
-    p = sub.add_parser("construct", parents=[common, out],
-                       help="build a lower-bound construction")
+    p = add("construct", cmd_construct, [out], "build a lower-bound construction")
     p.add_argument("builder",
                    choices=["s6star", "bipartite-g", "six-part", "blowup",
                             "augment"])
     p.add_argument("params", nargs="*")
-    p.set_defaults(handler=cmd_construct)
 
-    p = sub.add_parser("densopt", parents=[common],
-                       help="maximize the six-part density polynomial")
-    p.set_defaults(handler=cmd_densopt)
+    add("densopt", cmd_densopt, [], "maximize the six-part density polynomial")
 
-    p = sub.add_parser("crossing", parents=[common],
-                       help="crossing-edge expectation check")
+    p = add("crossing", cmd_crossing, [], "crossing-edge expectation check")
     p.add_argument("host")
     p.add_argument("--t0", type=int, required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None,
                    help="random seed (default: TURANSEP_SEED or 0)")
-    p.set_defaults(handler=cmd_crossing)
 
     return parser
 
@@ -405,7 +380,10 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            getattr(args, "subparser", parser).error(
+                f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     if not getattr(args, "handler", None):
@@ -413,7 +391,8 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     start = time.monotonic()
     try:
-        payload, code, graph = args.handler(args)
+        fields, verdict, graph = args.handler(args)
+        payload = {"command": args.subcommand, "version": __version__, **fields}
         if args.timing:
             payload["timing_seconds"] = round(time.monotonic() - start, 3)
         # writes --out before it prints, so a failed write prints no report
@@ -421,8 +400,12 @@ def run(argv: list[str] | None = None) -> int:
     except (ParameterError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return code
+    return {True: 0, False: 1, None: 3}[verdict]
 
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

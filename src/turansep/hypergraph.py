@@ -177,12 +177,16 @@ def build_named(spec: FamilySpec) -> Hypergraph:
     return Hypergraph(3, 6, S6_EDGES)
 
 
+def _check_vertices(h: Hypergraph, vertices: Iterable[int]) -> None:
+    for v in vertices:
+        if v < 0 or v >= h.n:
+            raise ParameterError(f"vertex {v} out of range [0, {h.n})")
+
+
 def induced(h: Hypergraph, vertices: Iterable[int]) -> Hypergraph:
     """Subhypergraph on a vertex set, relabeled 0..|S|-1 preserving order."""
     s = sorted(set(vertices))
-    for v in s:
-        if v < 0 or v >= h.n:
-            raise ParameterError(f"vertex {v} out of range [0, {h.n})")
+    _check_vertices(h, s)
     relabel = {v: i for i, v in enumerate(s)}
     keep = set(s)
     edges = [tuple(relabel[v] for v in e) for e in h.edges if keep.issuperset(e)]
@@ -192,9 +196,7 @@ def induced(h: Hypergraph, vertices: Iterable[int]) -> Hypergraph:
 def delete(h: Hypergraph, vertices: Iterable[int]) -> Hypergraph:
     """Remove a vertex set: induced subhypergraph on the complement."""
     drop = set(vertices)
-    for v in drop:
-        if v < 0 or v >= h.n:
-            raise ParameterError(f"vertex {v} out of range [0, {h.n})")
+    _check_vertices(h, drop)
     return induced(h, (v for v in range(h.n) if v not in drop))
 
 
@@ -203,9 +205,7 @@ def missing_edges(h: Hypergraph, vertices: Iterable[int]) -> list[tuple[int, ...
     s = sorted(set(vertices))
     if len(s) < h.k:
         raise ParameterError(f"need at least k={h.k} vertices, got {len(s)}")
-    for v in s:
-        if v < 0 or v >= h.n:
-            raise ParameterError(f"vertex {v} out of range [0, {h.n})")
+    _check_vertices(h, s)
     present = h.edge_set
     return [e for e in combinations(s, h.k) if e not in present]
 

@@ -29,7 +29,7 @@ from math import factorial, perm
 from typing import Iterator
 
 from .errors import ParameterError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _check_vertices
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,6 @@ class BalancedParts:
 
 @dataclass(frozen=True)
 class ExpectationReport:
-    seed: int
     empirical_mean: float
     exact_expectation: Fraction
     z_score: float
@@ -115,9 +114,7 @@ def crossing_count(h: Hypergraph, parts: BalancedParts) -> int:
         raise ParameterError(
             f"need k={h.k} parts, got {len(parts.parts)}")
     for p in parts.parts:
-        for v in p:
-            if v < 0 or v >= h.n:
-                raise ParameterError(f"vertex {v} out of range [0, {h.n})")
+        _check_vertices(h, p)
     return _count(h.links, parts.parts)
 
 
@@ -160,8 +157,4 @@ def expectation_check(
     stderr = (var / trials) ** 0.5
     z = (mean - float(exact)) / stderr if stderr > 0 else 0.0
     return ExpectationReport(
-        seed=seed,
-        empirical_mean=mean,
-        exact_expectation=exact,
-        z_score=z,
-    )
+        empirical_mean=mean, exact_expectation=exact, z_score=z)

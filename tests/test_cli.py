@@ -20,6 +20,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import turansep
 from turansep.cli import parse_family_token, run
 from turansep.criteria import verify_counterexample
 from turansep.embed import Embedding, is_free, validate_embedding
@@ -410,8 +411,57 @@ def test_flag_placement(command, flag, tmp_path):
     else:
         assert (code, out) == (2, "")
         errors = [line for line in err.splitlines() if "error:" in line]
-        assert errors == [f"turansep: error: unrecognized arguments: {flag} {value}"]
+        assert errors == [
+            f"turansep {command}: error: unrecognized arguments: {flag} {value}"]
         assert list(tmp_path.iterdir()) == []
+
+
+def _exit_code_of(report):
+    """The exit code that a report's own verdict field states."""
+    if "verdict" in report:
+        if report["verdict"] == "separated":
+            return 0
+        return 3 if report["condition1"]["holds"] == "unknown" else 1
+    for key in ("condition1", "condition2"):
+        if key in report:
+            return {True: 0, False: 1, "unknown": 3}[report[key]["holds"]]
+    if "exhausted" in report:
+        return 0 if report["exhausted"] else 3
+    for key in ("found", "free"):
+        if key in report:
+            return 0 if report[key] else 1
+    return 0
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_LINES))
+def test_report_envelope(command):
+    # every report names its command and version, and exits as its
+    # verdict says
+    argv = _COMMAND_LINES[command]
+    code, out, err = _run_captured(argv + ["--json"])
+    report = json.loads(out)
+    assert err == ""
+    assert report["version"] == turansep.__version__
+    expected = f"construct {argv[1]}" if command == "construct" else command
+    assert report["command"] == expected
+    assert code == _exit_code_of(report)
+
+
+def test_module_form_exit_codes(tmp_path):
+    # python -m turansep.cli is the turansep command, exit codes included
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "turansep.cli", *argv],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+
+    proc = module("separate", "K:5,3", "K:4,3")
+    assert proc.returncode == 0 and "verdict: separated" in proc.stdout
+    assert module("free-check", "K:5,3", "K:4,3").returncode == 1
+    proc = module("densopt", "--out", "x.hg")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_console_script_exit_codes(tmp_path, capsys, monkeypatch):

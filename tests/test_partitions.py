@@ -158,7 +158,7 @@ def _expectation_oracle(h, t0, trials, seed):
     var = sum((v - mean) ** 2 for v in values) / (trials - 1) if trials > 1 else 0.0
     stderr = (var / trials) ** 0.5
     z = (mean - float(exact)) / stderr if stderr > 0 else 0.0
-    return ExpectationReport(seed, mean, exact, z)
+    return ExpectationReport(mean, exact, z)
 
 
 @st.composite
