@@ -227,8 +227,8 @@ def cmd_construct(args):
         sizes = tuple(_int(x) for x in args.params[1:])
         h = constructions.blowup(constructions.BlowupSpec(base, sizes))
     elif args.builder == "augment":
-        if not args.params:
-            raise ParameterError("augment needs a hypergraph file")
+        if len(args.params) != 1:
+            raise ParameterError("augment needs one hypergraph file")
         base = parse_family_token(args.params[0])
         h = constructions.augment_matching(base)
         fields["added_edges"] = h.edge_count - base.edge_count

@@ -6,6 +6,13 @@ the six-part 3-graph whose density polynomial is maximized in densopt, and
 the matching augmentation that turns a K4-free graph into a denser
 K5-minus-free one.
 
+A part pattern is a tuple of part names, and a part named m times in it
+stands for m distinct vertices of that part; blowing the pattern up over
+the parts gives every such choice as an edge.  A blow-up is the base
+edges blown up over their classes, and layers (a)-(c) of the six-part
+construction are ALLOWED_PART_TRIPLES, PAIR_IN_Y and PAIR_IN_X blown up
+over its six parts.
+
 Vertex layout conventions: parts occupy consecutive index ranges; splits
 into near-equal parts give the remainder to the earliest parts; recursion
 in the iterated blow-up stops below six vertices (no internal edges there).
@@ -14,18 +21,25 @@ in the iterated blow-up stops below six vertices (no internal edges there).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations, pairwise
+from itertools import accumulate, chain, combinations, pairwise, product
 
 from . import embed
 from .errors import ConsistencyError, ParameterError
 from .hypergraph import FamilySpec, Hypergraph, S6_EDGES, build_named, from_edges, missing_edges
 
-# part triples (1-based) receiving all transversal edges in the six-part
-# construction: all of C([6], 3) except 123, 456, 126, 345
+# the part patterns (1-based) of layers (a)-(c) of the six-part construction
+# (a) one vertex in each of three parts: all of C([6], 3) except 123, 456,
+# 126, 345
 ALLOWED_PART_TRIPLES: tuple[tuple[int, int, int], ...] = tuple(
     t for t in combinations(range(1, 7), 3)
     if t not in {(1, 2, 3), (4, 5, 6), (1, 2, 6), (3, 4, 5)}
 )
+# (b) a pair inside part 3 (resp. 6), the third vertex in part 1 or 2
+# (resp. 4 or 5)
+PAIR_IN_Y: tuple[tuple[int, int, int], ...] = ((3, 3, 1), (3, 3, 2), (6, 6, 4), (6, 6, 5))
+# (c) a pair inside part 1 or 2 (resp. 4 or 5), the third vertex in part 6
+# (resp. 3)
+PAIR_IN_X: tuple[tuple[int, int, int], ...] = ((1, 1, 6), (2, 2, 6), (4, 4, 3), (5, 5, 3))
 
 
 @dataclass(frozen=True)
@@ -65,17 +79,16 @@ def blowup(spec: BlowupSpec) -> Hypergraph:
     """Replace vertex v by a class of spec.part_sizes[v] vertices and each
     base edge by all transversal k-sets across its classes."""
     classes = _consecutive(0, spec.part_sizes)
-    edges = []
-    for e in spec.base.edges:
-        edges.extend(_transversals([classes[v] for v in e]))
+    edges = [t for e in spec.base.edges for t in _blown(e, classes)]
     return from_edges(spec.base.k, sum(spec.part_sizes), edges)
 
 
-def _transversals(ranges) -> list[tuple[int, ...]]:
-    out = [()]
-    for r in ranges:
-        out = [t + (v,) for t in out for v in r]
-    return [tuple(sorted(t)) for t in out]
+def _blown(pattern, parts) -> list[tuple[int, ...]]:
+    """The pattern blown up over parts: every edge, as a sorted tuple, that
+    takes m distinct vertices of parts[j] for each j named m times."""
+    picks = product(*(combinations(parts[j], pattern.count(j))
+                      for j in dict.fromkeys(pattern)))
+    return [tuple(sorted(chain.from_iterable(pick))) for pick in picks]
 
 
 def _consecutive(start: int, sizes) -> list[range]:
@@ -98,18 +111,21 @@ def iterated_blowup_s6(n: int) -> Hypergraph:
     """
     if n < 0:
         raise ParameterError(f"vertex count must be >= 0, got n={n}")
+    return from_edges(3, n, _s6_star([range(n)]))
+
+
+def _s6_star(ranges) -> list[tuple[int, ...]]:
+    """The edges of the iterated blow-up of S6 inside each of the ranges."""
     edges: list[tuple[int, ...]] = []
-    # a worklist of vertex ranges, the parts of each split appended to it;
-    # from_edges sorts, so the order of the ranges does not matter
-    ranges = [range(n)]
+    # a worklist of vertex ranges, the parts of each split appended to it
+    ranges = list(ranges)
     for r in ranges:
         if len(r) < 6:
             continue
         parts = _near_equal_split(r.start, r.stop, 6)
-        for e in S6_EDGES:
-            edges.extend(_transversals([parts[v] for v in e]))
+        edges.extend(t for e in S6_EDGES for t in _blown(e, parts))
         ranges.extend(parts)
-    return from_edges(3, n, edges)
+    return edges
 
 
 def s6_star_edge_count(n: int) -> int:
@@ -127,13 +143,14 @@ def bipartite_g(n: int) -> Hypergraph:
     {a_i, b_j, a_k} and {a_i, b_j, b_k} for i, j < k (i = j permitted)."""
     if n < 1:
         raise ParameterError(f"side size must be >= 1, got n={n}")
-    edges = []
-    for k_idx in range(1, n):
-        for i in range(k_idx):
-            for j in range(k_idx):
-                edges.append((i, n + j, k_idx))
-                edges.append((i, n + j, n + k_idx))
-    return from_edges(3, 2 * n, edges)
+    return from_edges(3, 2 * n, _g(range(n), range(n, 2 * n)))
+
+
+def _g(a: range, b: range) -> list[tuple[int, ...]]:
+    """The triples of bipartite_g between equal sides a and b, sorted when
+    every vertex of a lies below every vertex of b."""
+    return [e for k in range(1, len(a)) for i in range(k) for j in range(k)
+            for e in ((a[i], a[k], b[j]), (a[i], b[j], b[k]))]
 
 
 def bipartite_g_edge_count(n: int) -> int:
@@ -142,61 +159,30 @@ def bipartite_g_edge_count(n: int) -> int:
 
 
 def _six_part_layers(p: SixPartParams) -> dict[str, set[tuple[int, ...]]]:
-    sizes = p.sizes
-    part = _consecutive(0, sizes)
-
-    transversal: set[tuple[int, ...]] = set()
-    for a, b, c in ALLOWED_PART_TRIPLES:
-        transversal.update(_transversals([part[a - 1], part[b - 1], part[c - 1]]))
-
-    pair_in_y: set[tuple[int, ...]] = set()
-    # pairs inside part 3 with third vertex in parts 1 or 2; same with 6, 4, 5
-    for y, xs in ((2, (0, 1)), (5, (3, 4))):
-        thirds = [v for x in xs for v in part[x]]
-        for a, b in combinations(part[y], 2):
-            pair_in_y.update(tuple(sorted((a, b, c))) for c in thirds)
-
-    pair_in_x: set[tuple[int, ...]] = set()
-    # pairs inside parts 1 or 2 with third vertex in part 6; same with 4, 5, 3
-    for xs, y in (((0, 1), 5), ((3, 4), 2)):
-        for x in xs:
-            for a, b in combinations(part[x], 2):
-                pair_in_x.update(tuple(sorted((a, b, c))) for c in part[y])
-
-    recursive: set[tuple[int, ...]] = set()
-    for i in range(6):
-        inner = iterated_blowup_s6(sizes[i])
-        off = part[i].start
-        recursive.update(tuple(v + off for v in e) for e in inner.edges)
-
-    g_layer: set[tuple[int, ...]] = set()
-    # a-side is the lower-indexed part; index order follows vertex order
-    for a_idx, b_idx in ((0, 1), (3, 4)):
-        s = sizes[a_idx]
-        g = bipartite_g(s)
-        a_off, b_off = part[a_idx].start, part[b_idx].start
-        for e in g.edges:
-            g_layer.add(tuple(sorted(
-                a_off + v if v < s else b_off + (v - s) for v in e)))
-
-    return {
-        "transversal": transversal,
-        "pair_in_y": pair_in_y,
-        "pair_in_x": pair_in_x,
-        "inner_blowup": recursive,
-        "bipartite_g": g_layer,
+    part = dict(enumerate(_consecutive(0, p.sizes), start=1))
+    layers = {
+        name: {e for pattern in patterns for e in _blown(pattern, part)}
+        for name, patterns in (("transversal", ALLOWED_PART_TRIPLES),
+                               ("pair_in_y", PAIR_IN_Y),
+                               ("pair_in_x", PAIR_IN_X))
     }
+    layers["inner_blowup"] = set(_s6_star(part.values()))
+    # the a-side of each copy is the lower-numbered part
+    layers["bipartite_g"] = set(_g(part[1], part[2]) + _g(part[4], part[5]))
+    return layers
 
 
 def six_part_h(p: SixPartParams) -> Hypergraph:
     """The six-part 3-graph: five edge layers on consecutive parts.
 
-    Layers: (a) transversal triples on the sixteen allowed part triples;
-    (b) pairs inside part 3 (resp. 6) with third vertex in parts 1-2
-    (resp. 4-5); (c) pairs inside parts 1-2 (resp. 4-5) with third vertex
-    in part 6 (resp. 3); (d) an iterated blow-up inside each part; (e) a
-    copy of the bipartite-style graph between parts 1-2 and between 4-5.
-    Layer disjointness is asserted.
+    Layers (a)-(c) are part patterns blown up over the parts: (a)
+    ALLOWED_PART_TRIPLES, transversal triples on the sixteen allowed part
+    triples; (b) PAIR_IN_Y, pairs inside part 3 (resp. 6) with third vertex
+    in parts 1-2 (resp. 4-5); (c) PAIR_IN_X, pairs inside parts 1-2
+    (resp. 4-5) with third vertex in part 6 (resp. 3).  Then (d) an
+    iterated blow-up inside each part and (e) a copy of the bipartite-style
+    graph between parts 1-2 and between 4-5.  Layer disjointness is
+    asserted.
     """
     return six_part_with_breakdown(p)[0]
 

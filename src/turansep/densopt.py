@@ -6,11 +6,17 @@ per unit of C(n, 3), the asymptotic density
     c3 x^3 + c30 y^3 + c21 x^2 y + c12 x y^2
 
 whose coefficients are re-derived here from the five finite edge layers
-rather than hard-coded: transversal triples contribute by classifying the
-sixteen allowed part triples, the two pair layers contribute the leading
-terms of their binomial counts, the inner blow-ups contribute through the
-fixed-point density of the iterated blow-up, and the bipartite-style layer
-through the leading term of its closed-form count.
+rather than hard-coded.  Layers (a)-(c) are the part patterns
+ALLOWED_PART_TRIPLES, PAIR_IN_Y and PAIR_IN_X of the constructions module
+blown up over the parts, where a part named m times gives each edge m
+distinct vertices; each pattern contributes the leading term of its count,
+the product of |V_j|^m / m! over its parts, to the monomial of its x/y
+size type.  The inner blow-ups contribute through the fixed-point density
+of the iterated blow-up, and the bipartite-style layer through the leading
+term of its closed-form count.
+
+exact_count writes the binomial counts of layers (b) and (c) out by hand
+rather than reading them from the patterns, so that it checks them.
 
 All coefficient work is exact rational; the constrained optimum on
 4x + 2y = 1 reduces to a univariate cubic whose stationary points live in
@@ -21,10 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 from .constructions import (
     ALLOWED_PART_TRIPLES,
+    PAIR_IN_X,
+    PAIR_IN_Y,
     SixPartParams,
     six_part_h,
 )
@@ -159,17 +167,14 @@ def s6_star_limit_density() -> Fraction:
 
 def h_density_poly() -> DensityPolynomial:
     """Re-derive the density polynomial from the five finite edge layers."""
-    # layer (a): classify allowed part triples by their size types
-    n3x = sum(1 for t in ALLOWED_PART_TRIPLES if sum(p in _X_PARTS for p in t) == 3)
-    n2x = sum(1 for t in ALLOWED_PART_TRIPLES if sum(p in _X_PARTS for p in t) == 2)
-    n1x = sum(1 for t in ALLOWED_PART_TRIPLES if sum(p in _X_PARTS for p in t) == 1)
-    c_x3 = Fraction(n3x)
-    c_x2y = Fraction(n2x)
-    c_xy2 = Fraction(n1x)
-    c_y3 = Fraction(0)
-    # layers (b) and (c): 4 y n C(x n, 2) and 4 x n C(y n, 2); C(m,2) ~ m^2/2
-    c_x2y += 4 * Fraction(1, 2)
-    c_xy2 += 4 * Fraction(1, 2)
+    # layers (a)-(c): a pattern naming part j m_j times blows up to
+    # prod C(|V_j|, m_j) ~ prod |V_j|^m_j / m_j! edges, a monomial in x, y
+    by_x_count = [Fraction(0)] * 4
+    for pattern in ALLOWED_PART_TRIPLES + PAIR_IN_Y + PAIR_IN_X:
+        x_count = sum(j in _X_PARTS for j in pattern)
+        by_x_count[x_count] += Fraction(
+            1, prod(factorial(pattern.count(j)) for j in set(pattern)))
+    c_y3, c_xy2, c_x2y, c_x3 = by_x_count
     # layer (d): inner blow-ups at the limit density, 4 parts of size x n and
     # 2 of size y n; C(m,3) ~ m^3/6 and the normalization cancels the 6
     inner = s6_star_limit_density() / 6
@@ -188,9 +193,12 @@ def exact_count(
 ) -> int:
     """Exact edge count of the six-part construction from its layer counts.
 
-    The per-part inner blow-up counts and the two between-pair counts are
-    supplied by the constructions module; the result is cross-checked
-    against the built graph and a mismatch raises.
+    The caller supplies the per-part inner blow-up counts and the two
+    between-pair counts (for instance s6_star_edge_count and
+    bipartite_g_edge_count of the part sizes).  Layer (a) is counted over
+    ALLOWED_PART_TRIPLES and layers (b), (c) by binomial closed forms
+    written independently of PAIR_IN_Y and PAIR_IN_X.  The total is
+    cross-checked against the built graph and a mismatch raises.
     """
     if len(s6_edge_counts) != 6:
         raise ParameterError("need six inner blow-up edge counts")

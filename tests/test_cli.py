@@ -353,6 +353,8 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
 def test_invalid_inputs_exit_2(tmp_path, capsys):
     binary = tmp_path / "binary.hg"
     binary.write_bytes(b"\xff\xfe\x00")
+    k4_free = tmp_path / "k4_free.hg"
+    k4_free.write_text(serialize(from_edges(3, 10, [(0, 1, 2)])))
     for argv in (
         ["build", "K:3,3"],
         ["turan", "5", "missing.hg"],
@@ -362,6 +364,9 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
         ["construct", "blowup", "S6", "2", "2", "x"],
         ["construct", "blowup"],
         ["construct", "augment"],
+        # parameters after the file are not dropped
+        ["construct", "augment", str(k4_free), "bogus", "7",
+         "--out", str(tmp_path / "augmented.hg")],
         ["build", str(tmp_path)],
         ["free-check", "S6", str(tmp_path)],
         ["build", str(binary)],
@@ -373,6 +378,7 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert err.startswith("error: ") and err.count("\n") == 1, argv
         assert out == "", argv
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["binary.hg", "k4_free.hg"]
     run(["build", "S6", "--out", str(tmp_path)])
     assert capsys.readouterr().err.startswith(f"error: cannot write {str(tmp_path)!r}: ")
 
@@ -503,14 +509,20 @@ def test_reports_are_reproducible(capsys):
     assert a == b
 
 
-def test_readme_cli_lines_exit_as_stated():
+def test_readme_cli_lines_exit_as_stated(tmp_path, monkeypatch):
     # each line of README's CLI block exits with the code its comment
-    # states, else 0; the lines that read a file of the reader's own are
-    # not run
+    # states, else 0; the lines that read the reader's own my_graph.hg get
+    # a K4-free 3-graph on 12 vertices, which the crossing line's --t0 4
+    # splits into equal parts
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = [line for line in block.splitlines() if "my_graph.hg" not in line]
-    assert len(lines) == 13
+    lines = block.splitlines()
+    assert len(lines) == 15
+    assert sum("my_graph.hg" in line for line in lines) == 2
+    graph = random_maximal_free(12, build_named(FamilySpec.complete(4, 3)), 0)
+    assert graph.edge_count == 118
+    (tmp_path / "my_graph.hg").write_text(serialize(graph))
+    monkeypatch.chdir(tmp_path)
     for line in lines:
         command, _, comment = line.partition("#")
         words = shlex.split(command)

@@ -1,8 +1,10 @@
 """Blow-ups, the six-part construction, and the matching augmentation."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -30,6 +32,7 @@ from turansep.hypergraph import (
     density,
     from_edges,
     induced,
+    serialize,
 )
 
 
@@ -140,12 +143,58 @@ def test_six_part_layer_formulas():
     p = SixPartParams((s, s, u, s, s, u))
     bd = six_part_breakdown(p)
     assert bd["transversal"] == 4 * s**3 + 8 * s**2 * u + 4 * s * u**2
-    from math import comb
-
     assert bd["pair_in_y"] == 4 * s * comb(u, 2)
     assert bd["pair_in_x"] == 4 * u * comb(s, 2)
     assert bd["bipartite_g"] == 2 * bipartite_g_edge_count(s)
     assert sum(bd.values()) == six_part_h(p).edge_count
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 5, 3, 3, 4), (4, 4, 1, 2, 2, 6)])
+def test_six_part_layer_formulas_uneven(sizes):
+    # s1 != s4 and s3 != s6, so a layer that swapped part 3 with part 6, or
+    # parts 1, 2 with parts 4, 5, would change its count
+    s1, s2, s3, s4, s5, s6 = sizes
+    bd = six_part_breakdown(SixPartParams(sizes))
+    assert bd == {
+        "transversal": sum(sizes[a - 1] * sizes[b - 1] * sizes[c - 1]
+                           for a, b, c in combinations(range(1, 7), 3)
+                           if (a, b, c) not in {(1, 2, 3), (4, 5, 6),
+                                                (1, 2, 6), (3, 4, 5)}),
+        "pair_in_y": comb(s3, 2) * (s1 + s2) + comb(s6, 2) * (s4 + s5),
+        "pair_in_x": (comb(s1, 2) + comb(s2, 2)) * s6
+                     + (comb(s4, 2) + comb(s5, 2)) * s3,
+        "inner_blowup": sum(s6_star_edge_count(s) for s in sizes),
+        "bipartite_g": bipartite_g_edge_count(s1) + bipartite_g_edge_count(s4),
+    }
+
+
+# (edge count, SHA-256 of serialize) of each builder's output, frozen so
+# that a change to a builder keeps every edge where it was
+_BUILT = [
+    (lambda: six_part_h(SixPartParams((7, 7, 9, 7, 7, 9))), 9420,
+     "44ff30bfcb93d99df79bdb2e07a78ebad64692aebef5694924078c4993ba96d5"),
+    (lambda: iterated_blowup_s6(36), 2220,
+     "429f83ffc7ee50ea623c98510208cb450855f80a6f3a9cb08cceb1bf5bb9d6ff"),
+    (lambda: bipartite_g(10), 570,
+     "84933a7a62238ce4e38b887507b75648942718aaa2371d72a4d2ccbbefa05241"),
+    (lambda: blowup(BlowupSpec(S6, (2,) * 6)), 80,
+     "f2c9c1d56a2309b7b2b7666798664e9e206239f872a81171af65556b737f9ee0"),
+]
+
+
+@pytest.mark.parametrize("build, edges, digest", _BUILT,
+                         ids=["six_part", "s6star", "bipartite_g", "blowup"])
+def test_builder_output_pinned(build, edges, digest):
+    h = build()
+    assert h.edge_count == edges
+    assert hashlib.sha256(serialize(h).encode()).hexdigest() == digest
+
+
+def test_six_part_breakdown_pinned():
+    assert six_part_breakdown(SixPartParams((7, 7, 9, 7, 7, 9))) == {
+        "transversal": 7168, "pair_in_y": 1008, "pair_in_x": 756,
+        "inner_blowup": 124, "bipartite_g": 364,
+    }
 
 
 def test_six_part_layers_disjoint_random_sizes():
