@@ -26,7 +26,7 @@ from .embed import (
     spanned_edge_violation,
     validate_embedding,
 )
-from .exact import TuranResult, extremal_witness, random_maximal_free, turan_number
+from .exact import TuranResult, random_maximal_free, turan_number
 from .criteria import (
     SeparationReport,
     check_condition1,

@@ -25,6 +25,10 @@ non-decreasing labels in vertex order, and v's label loop starts at the
 label of its previous twin.
 F' ⊆ F - V_j is decided by the copy search on F's own links over the
 vertices outside V_j, memoized on the mask of V_j.
+
+Both conditions read F' without its isolated vertices.  π(F') does not
+depend on them, and they would keep F' out of an F - V_j with room for
+its edges but not for them.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from math import comb
 from . import embed
 from .errors import ParameterError
 from .exact import DEFAULT_BUDGET, turan_number
-from .hypergraph import Hypergraph, delete
+from .hypergraph import Hypergraph, delete, drop_isolated
 
 Partition = tuple[tuple[int, ...], ...]
 
@@ -82,19 +86,23 @@ def de_caen_bound(m: int, k: int) -> Fraction:
     return 1 - Fraction(1, comb(m - 1, k - 1))
 
 
-def _require_subgraph(f: Hypergraph, f_sub: Hypergraph) -> None:
+def _sub_core(f: Hypergraph, f_sub: Hypergraph) -> Hypergraph:
+    """F' without its isolated vertices, which π(F') does not see; it must
+    be a subgraph of F."""
     if f.k != f_sub.k:
         raise ParameterError(
             f"uniformity mismatch: F has k={f.k}, F' has k={f_sub.k}")
-    if embed.contains(f, f_sub) is None:
+    core = drop_isolated(f_sub)
+    if embed.contains(f, core) is None:
         raise ParameterError("F' is not a subgraph of F")
+    return core
 
 
 def check_condition1(
     f: Hypergraph, f_sub: Hypergraph, budget: int = DEFAULT_BUDGET
 ) -> Condition1Result:
     """Evaluate condition (1) for the pair (F, F'); F' ⊆ F is required."""
-    _require_subgraph(f, f_sub)
+    f_sub = _sub_core(f, f_sub)
     m, k = f.n, f.k
     if m <= k:
         raise ParameterError(f"need v(F) > k, got v(F)={m}, k={k}")
@@ -119,7 +127,7 @@ def check_condition2(f: Hypergraph, f_sub: Hypergraph) -> Condition2Result:
     On failure the counterexample is the first violating partition in
     enumeration order, as a k-tuple of vertex lists.
     """
-    _require_subgraph(f, f_sub)
+    f_sub = _sub_core(f, f_sub)
     m, k = f.n, f.k
     # vertices are assigned in index order, so an edge is fully assigned
     # once its last vertex is: ending_at[v] holds the vertex masks of the
@@ -224,8 +232,9 @@ def verify_counterexample(
     first = set(partition[0])
     if any(not first.intersection(e) for e in f.edges):
         return False
+    core = drop_isolated(f_sub)
     return all(
-        embed.contains(delete(f, part), f_sub) is None for part in partition[1:]
+        embed.contains(delete(f, part), core) is None for part in partition[1:]
     )
 
 

@@ -12,6 +12,3 @@ class ParseError(ValueError):
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""
 
-
-class BudgetExceededError(RuntimeError):
-    """An exact search ran out of its node budget before finishing."""

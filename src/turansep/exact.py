@@ -64,6 +64,20 @@ lex-min witness: stopping there keeps the value and the witness of the
 full search, only with fewer nodes.  Every search has its own node
 budget; the result's node count is the search at n alone.
 
+The same deletion cuts nodes vertex by vertex: deleting a vertex that
+lies in d of the e edges of an F-free graph leaves an F-free graph with
+e - d edges on n-1 vertices, so d >= e - ex(n-1, F).  Each search is
+given below >= ex(n-1, F), the bound the ladder holds (exact when the
+level below exhausted).  A completion beating the incumbent keeps
+need = best + 1 - below edges or more through every vertex, so a pass
+is cut when some vertex lies in fewer candidates of inc | alive.  Each
+vertex has one mask over the candidate indices.  A node's first pass
+checks all n vertices, since the kills and a grown best can lower any
+of them below need; a later pass checks the k vertices of the candidate
+just excluded, and no pass checks while need <= 0.  The cut is strict
+like the packing cut, so values and witnesses are unchanged, and
+C(n-1, k) is always a valid below.
+
 CopyIndex is the exact search's alone.  The seeded greedy
 random_maximal_free builds none: it walks the shuffled candidates, keeps
 the links of the growing graph (each (k-1)-set's vertex mask mapped to
@@ -88,8 +102,8 @@ from itertools import combinations
 from math import comb
 
 from .embed import _extend, _step_tree
-from .errors import BudgetExceededError, ParameterError
-from .hypergraph import Hypergraph, induced
+from .errors import ParameterError
+from .hypergraph import Hypergraph, drop_isolated
 
 DEFAULT_BUDGET = 10**8
 
@@ -206,7 +220,7 @@ class CopyIndex:
             # a copy is one labeling of F without its isolated vertices,
             # mapped in order onto the copy's vertex set: it comes from one
             # subset and one labeling
-            core = induced(f, (v for v, d in enumerate(f.degrees) if d))
+            core = drop_isolated(f)
             labelings = _labelings(core)
             for s in combinations(range(n), core.n):
                 ids = [index[e] for e in combinations(s, f.k)]
@@ -259,26 +273,56 @@ def turan_number(
     """
     if budget <= 0:
         raise ParameterError(f"budget must be positive, got {budget}")
+    if n < 0:
+        raise ParameterError(f"vertex count must be >= 0, got n={n}")
     k = f.k
-    # ex(m, F) = C(m, k) while F does not fit on m vertices
-    upper = comb(max(min(n, f.n - 1), 0), k)
+    # upper bounds ex(m-1, F) for the next m; ex(m, F) = C(m, k) while F
+    # does not fit on m vertices
+    upper = comb(max(min(n, f.n) - 1, 0), k)
     ladder: list[LadderLevel] = []
     for m in range(f.n, n):
-        upper = _kns(m, k, upper)
-        if not ladder or ladder[-1].exhausted:
-            level = _search(m, f, budget, upper)
-            ladder.append(LadderLevel(m, level.value, level.nodes_explored,
-                                      level.exhausted))
-            if level.exhausted:
-                upper = level.value
-    cap = _kns(n, k, upper) if n >= f.n else upper
-    return replace(_search(n, f, budget, cap), ladder=tuple(ladder))
+        if ladder and not ladder[-1].exhausted:
+            upper = _kns(m, k, upper)
+            continue
+        level = _search(m, f, budget, upper)
+        ladder.append(LadderLevel(m, level.value, level.nodes_explored,
+                                  level.exhausted))
+        upper = level.value if level.exhausted else level.cap
+    return replace(_search(n, f, budget, upper), ladder=tuple(ladder))
 
 
-def _search(n: int, f: Hypergraph, budget: int, cap: int) -> TuranResult:
-    """The branch-and-bound search on n vertices, stopped at budget + 1
-    nodes or once the incumbent meets cap, an upper bound on ex(n, F)."""
+def _vertex_masks(n: int, k: int) -> list[int]:
+    """For each vertex v of [n], the bitmask of the lex positions of the
+    k-subsets of [n] that contain v.
+
+    The i-subsets of range(a, n) in lex order are the C(n-a-1, i-1) that
+    hold a, then the i-subsets of range(a+1, n).  So v's mask over them is
+    that first block when a = v, and for a < v it joins v's masks over the
+    (i-1)- and the i-subsets of range(a+1, n).
+    """
+    masks = []
+    for v in range(n):
+        # row[i]: v's mask over the i-subsets of range(a, n), from a = v
+        # down to 0; each step lowers i by one at most, so only the i with
+        # k - a <= i <= k are needed, and none is longer than C(n, k)
+        row = [0] * (k + 1)
+        for i in range(max(k - v, 1), k + 1):
+            row[i] = (1 << comb(n - v - 1, i - 1)) - 1
+        for a in range(v - 1, -1, -1):
+            for i in range(k, max(k - a, 1) - 1, -1):
+                row[i] = row[i - 1] | row[i] << comb(n - a - 1, i - 1)
+        masks.append(row[k])
+    return masks
+
+
+def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
+    """The branch-and-bound search on n vertices, given below >= ex(n-1, F).
+
+    It stops at budget + 1 nodes or once the incumbent meets the KNS cap
+    that below gives on ex(n, F).  C(n-1, k) is always a valid below.
+    """
     k = f.k
+    cap = _kns(n, k, below)
     if f.edge_count == 0 and f.n > n:
         full = tuple(combinations(range(n), k))
         return TuranResult(len(full), Hypergraph(k, n, full), 0, True, cap, False)
@@ -286,6 +330,7 @@ def _search(n: int, f: Hypergraph, budget: int, cap: int) -> TuranResult:
     engine = CopyIndex(n, f)
     cand = engine.cand
     through = engine.through
+    by_vertex = _vertex_masks(n, k)
     chosen: list[int] = []
     best = 0
     witness: tuple[int, ...] = ()
@@ -312,14 +357,23 @@ def _search(n: int, f: Hypergraph, budget: int, cap: int) -> TuranResult:
         rest = alive
         left = alive.bit_count()
         filtered = False
+        # the vertices whose degree in inc | rest is yet to be checked
+        around: Sequence[int] = range(n)
         # each pass decides the candidates in rest, branching on the lowest
         while rest and count + left > best:
+            within = inc | rest
+            # a completion that beats best keeps need edges or more through
+            # each vertex, as deleting one leaves at most below
+            need = best + 1 - below
+            if need > 0:
+                for v in around:
+                    if (by_vertex[v] & within).bit_count() < need:
+                        return
             gap = count + left - best
             # a copy inside inc | rest has two edges in rest or more (each
             # alone is addable), so a packing can reach gap only if
             # 2 * gap <= left
             if 2 * gap <= left:
-                within = inc | rest
                 inside = []
                 used = packed = 0
                 for m in live:
@@ -337,7 +391,6 @@ def _search(n: int, f: Hypergraph, budget: int, cap: int) -> TuranResult:
             elif rest != alive and not filtered:
                 # filter once, just before the second child; the first
                 # child reads the list as it was handed down
-                within = inc | rest
                 live = [m for m in live if m & within == m]
                 filtered = True
             low = rest & -rest
@@ -348,6 +401,8 @@ def _search(n: int, f: Hypergraph, budget: int, cap: int) -> TuranResult:
             chosen.append(j)
             rec(rest & ~_kill(through[j], inc2), count + 1, inc2, live)
             chosen.pop()
+            # excluding j lowers the degrees of its k vertices alone
+            around = cand[j]
 
     # a copy with one edge kills that edge at the root
     root_alive = ((1 << len(cand)) - 1) & ~_kill(engine.copies, 0)
@@ -377,18 +432,6 @@ def _search(n: int, f: Hypergraph, budget: int, cap: int) -> TuranResult:
         del rec
     edges = tuple(cand[j] for j in witness)
     return TuranResult(best, Hypergraph(k, n, edges), nodes, exhausted, cap, closed)
-
-
-def extremal_witness(
-    n: int, f: Hypergraph, budget: int = DEFAULT_BUDGET
-) -> Hypergraph:
-    """An F-free graph attaining ex(n, F); errors out if the search was cut."""
-    result = turan_number(n, f, budget=budget)
-    if not result.exhausted:
-        raise BudgetExceededError(
-            f"turan search for n={n} not exhausted within {budget} nodes"
-        )
-    return result.witness
 
 
 def random_maximal_free(n: int, f: Hypergraph, seed: int) -> Hypergraph:

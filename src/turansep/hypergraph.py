@@ -200,6 +200,11 @@ def delete(h: Hypergraph, vertices: Iterable[int]) -> Hypergraph:
     return induced(h, (v for v in range(h.n) if v not in drop))
 
 
+def drop_isolated(h: Hypergraph) -> Hypergraph:
+    """The subhypergraph on the vertices that lie in an edge."""
+    return induced(h, (v for v, d in enumerate(h.degrees) if d))
+
+
 def missing_edges(h: Hypergraph, vertices: Iterable[int]) -> list[tuple[int, ...]]:
     """All k-subsets of S absent from E(H), in lexicographic order."""
     s = sorted(set(vertices))

@@ -35,7 +35,10 @@ def D(t, k):
 
 
 def naive_condition2(f, fs):
-    """Unoptimized oracle: plain base-k counter over all assignments."""
+    """Unoptimized oracle: plain base-k counter over all assignments, on F'
+    without its isolated vertices."""
+    used = sorted({v for e in fs.edges for v in e})
+    fs = from_edges(fs.k, len(used), [[used.index(v) for v in e] for e in fs.edges])
     m, k = f.n, f.k
     for assign in product(range(k), repeat=m):
         parts = [[v for v in range(m) if assign[v] == j] for j in range(k)]
@@ -219,6 +222,24 @@ def test_condition2_matches_naive_oracle(pair):
         assert verify_counterexample(f, fs, fast.counterexample)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_pairs(), st.data())
+def test_padding_f_sub_with_isolated_vertices_keeps_the_verdict(pair, data):
+    # π(F') does not see isolated vertices: F' padded with up to three more,
+    # its vertices shuffled, gets the oracle's condition-2 answer and the
+    # verdict of F' itself, also when it outgrows v(F)
+    f, fs = pair
+    n = fs.n + data.draw(st.integers(0, 3))
+    image = data.draw(st.permutations(range(n)))
+    padded = from_edges(fs.k, n, [[image[v] for v in e] for e in fs.edges])
+    got = check_condition2(f, padded)
+    assert (got.holds, got.counterexample) == naive_condition2(f, fs)
+    # condition 1 needs v(F) > k, and an F' with an edge: one without
+    # fits in every graph, so ex(m, F') is not defined
+    if f.n > f.k and fs.edge_count:
+        assert separate(f, padded).verdict == separate(f, fs).verdict
+
+
 def _twins(f):
     """Pairs u < v whose transposition maps F's edge set onto itself."""
     edges = set(f.edges)
@@ -284,6 +305,10 @@ def test_separate_verdicts():
 
     r = separate(D(4, 4), D(2, 4))
     assert r.verdict == "separated" and r.condition1.holds is True
+
+    # K4 written on five vertices, one of them isolated, is still K4
+    r = separate(K(5, 3), from_edges(3, 5, K(4, 3).edges))
+    assert r.verdict == "separated" and r.condition2.holds
 
     r = separate(Km(5, 3), K(4, 3))
     assert r.verdict == "not-established"

@@ -11,13 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from turansep.cli import parse_family_token
 from turansep.embed import check_free, is_free
-from turansep.errors import BudgetExceededError, ParameterError
+from turansep.errors import ParameterError
 from turansep.exact import (
     CopyIndex,
     _anchors,
     _labelings,
     _search,
-    extremal_witness,
+    _vertex_masks,
     random_maximal_free,
     turan_number,
 )
@@ -139,14 +139,15 @@ def test_budget_cutoff():
     assert not res.exhausted
     assert res.value <= 14
     assert is_free(res.witness, K(4, 3))
-    with pytest.raises(BudgetExceededError):
-        extremal_witness(6, K(4, 3), budget=10)
 
 
 def test_extremal_witness():
-    w = extremal_witness(4, K(4, 3))
-    assert w.edge_count == 3 and is_free(w, K(4, 3))
-    assert extremal_witness(4, D(2, 3)).edge_count == 1
+    # an exhausted search's witness attains ex(n, F)
+    res = turan_number(4, K(4, 3))
+    assert res.exhausted
+    assert res.witness.edge_count == 3 and is_free(res.witness, K(4, 3))
+    res = turan_number(4, D(2, 3))
+    assert res.exhausted and res.witness.edge_count == 1
 
 
 def test_bad_budget():
@@ -248,24 +249,30 @@ def test_random_maximal_free_digests_pinned(token, seed):
 
 def test_search_tree_pinned():
     # node counts pin the search tree itself, not only its answer;
-    # ex(7, K4) = 23 with 21,754 nodes is pinned in acceptance criterion 3
+    # ex(7, K4) = 23 with 9,409 nodes is pinned in acceptance criterion 3
     # (its cap, 24, does not close it).  Before the packing bound the first
-    # two took 151,138 and 497,310 nodes, and before the KNS cap 23,984 and
-    # 25,608; the lex-min witnesses are frozen from those searches.  Each
-    # row: the ladder's values at v(F)..n-1, and the cap at n, which every
-    # one of these searches meets
-    for n, spec, value, nodes, ladder, witness, limit in (
+    # two took 151,138 and 497,310 nodes, before the KNS cap 23,984 and
+    # 25,608, and before the vertex-deletion cut 35 and 22,405; the lex-min
+    # witnesses are frozen from those searches, and the digests (SHA-256 of
+    # the serialized witness) from the searches without the vertex-deletion
+    # cut.  Each row: the ladder's values at v(F)..n-1, and the cap at n,
+    # which every one of these searches meets
+    for n, spec, value, nodes, ladder, witness, digest, limit in (
         (9, FamilySpec.daisy(2, 3), 12, 35, (1, 2, 4, 7, 8),
-         "012 034 056 078 135 147 168 238 246 257 367 458", None),
-        (7, FamilySpec.complete_minus(5, 3), 28, 22_405, (8, 16),
+         "012 034 056 078 135 147 168 238 246 257 367 458",
+         "aa22de7d584bf0f7cdf50fe522aa1b95c77bff406babdae8104a6dde3f1d824b", None),
+        (7, FamilySpec.complete_minus(5, 3), 28, 17_944, (8, 16),
          "012 013 014 015 023 024 026 035 036 045 046 056 123 125 126 134 "
-         "136 145 146 156 234 235 245 246 256 345 346 356", 5.0),
+         "136 145 146 156 234 235 245 246 256 345 346 356",
+         "367c09e5d71dff3439c439bd2d66006122fabe0621e777a6277ef5e59aaababb", 5.0),
         # the cap floor(8 * 23 / 5) = 36 closes ex(8, K4), which the search
-        # alone could not exhaust in 300,000 nodes
-        (8, FamilySpec.complete(4, 3), 36, 433_472, (3, 7, 14, 23),
+        # alone could not exhaust in 300,000 nodes; before the vertex-deletion
+        # cut it took 433,472 nodes
+        (8, FamilySpec.complete(4, 3), 36, 148_073, (3, 7, 14, 23),
          "012 013 014 015 016 023 024 025 026 034 035 036 047 057 067 127 "
          "137 145 146 147 156 157 167 237 245 246 247 256 257 267 345 346 "
-         "347 356 357 367", 15.0),
+         "347 356 357 367",
+         "90d2824ee630e664d45edd2c5e770662e33263a478b5162d5142229644342196", 15.0),
     ):
         f = build_named(spec)
         start = time.perf_counter()
@@ -278,6 +285,7 @@ def test_search_tree_pinned():
         assert (res.cap, res.closed) == (n * ladder[-1] // (n - 3), True)
         assert res.cap == value
         assert res.witness.edges == _hex_edges(witness)
+        assert hashlib.sha256(serialize(res.witness).encode()).hexdigest() == digest
         assert res.witness.edge_count == value
         assert check_free(res.witness, f) == ("subset-scan", None)
         if limit is not None:
@@ -438,15 +446,70 @@ def test_ladder_is_sound(case):
         else:
             assert level.value <= _oracle_ex(level.n, f)
             assert level.nodes == budget + 1
-    # the cap only stops the search early: the search without it gives the
-    # same value and witness, and a cut result the same node count
-    uncapped = _search(n, f, budget, comb(n, 3) + 1)
-    assert not uncapped.closed
-    assert (res.value, res.witness.edges) == (uncapped.value, uncapped.witness.edges)
-    if res.exhausted:
+    # the ladder's bound only cuts the tree and stops the search early:
+    # given the always valid bound C(n-1, 3), whose cap C(n, 3) closes only
+    # a search that F does not fit, the search visits a supertree in the
+    # same order, so it ends with the same value and witness, and a budget
+    # cut leaves it no further on
+    uncapped = _search(n, f, budget, comb(n - 1, 3))
+    assert uncapped.closed == (n < f.n)
+    if uncapped.exhausted:
+        assert res.exhausted
+        assert (res.value, res.witness.edges) == (uncapped.value, uncapped.witness.edges)
         assert res.nodes_explored <= uncapped.nodes_explored
     else:
-        assert res.nodes_explored == uncapped.nodes_explored == budget + 1
+        assert uncapped.nodes_explored == budget + 1
+        assert res.value >= uncapped.value
+
+
+def test_vertex_masks_match_candidates():
+    # up to k = n + 1, where no candidate exists, and k near n, where the
+    # masks over the i-subsets with i < k - a are never needed
+    for n in range(12):
+        for k in range(1, n + 2):
+            cand = list(combinations(range(n), k))
+            assert _vertex_masks(n, k) == [
+                sum(1 << j for j, e in enumerate(cand) if v in e) for v in range(n)]
+
+
+def _classes(vf):
+    """One 3-graph on vf vertices from each isomorphism class with an edge."""
+    cand = list(combinations(range(vf), 3))
+    images = list(permutations(range(vf)))
+    seen = set()
+    graphs = []
+    for mask in range(1, 1 << len(cand)):
+        edges = tuple(e for i, e in enumerate(cand) if mask >> i & 1)
+        if edges not in seen:
+            seen.update(tuple(sorted(tuple(sorted(p[v] for v in e)) for e in edges))
+                        for p in images)
+            graphs.append(from_edges(3, vf, edges))
+    return graphs
+
+
+def test_vertex_cut_soundness_grid():
+    # every 3-graph F on 4 and 5 vertices up to isomorphism (those on 5
+    # with an isolated vertex too), with v(F) <= n <= 6: the search given
+    # the ladder's bound on ex(n-1, F) and the one given the always valid
+    # bound C(n-1, 3) agree with each other and with the list-filter
+    # oracle on value and witness, and the first takes no more nodes.  An
+    # unsound bound or cut fails here within seconds
+    graphs = _classes(4) + _classes(5)
+    assert len(graphs) == 4 + 33
+    for f in graphs:
+        for n in range(f.n, 7):
+            res = turan_number(n, f)
+            assert all(level.exhausted for level in res.ladder)
+            below = res.ladder[-1].value if res.ladder else comb(n - 1, 3)
+            tight = _search(n, f, 10**8, below)
+            loose = _search(n, f, 10**8, comb(n - 1, 3))
+            value, witness, _, _ = _list_filter_turan(n, f, 10**8, root_symmetry=True)
+            assert tight.exhausted and loose.exhausted
+            assert (tight.value, tight.witness.edges) == (value, witness)
+            assert (loose.value, loose.witness.edges) == (value, witness)
+            assert tight.nodes_explored <= loose.nodes_explored
+            assert (res.value, res.witness.edges, res.nodes_explored) == (
+                tight.value, tight.witness.edges, tight.nodes_explored)
 
 
 def _check_index(n, f):
