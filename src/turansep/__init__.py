@@ -22,7 +22,6 @@ from .embed import (
     check_free,
     contains,
     is_free,
-    spanned_edge_threshold_free,
     spanned_edge_violation,
     validate_embedding,
 )

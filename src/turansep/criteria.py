@@ -28,7 +28,10 @@ vertices outside V_j, memoized on the mask of V_j.
 
 Both conditions read F' without its isolated vertices.  π(F') does not
 depend on them, and they would keep F' out of an F - V_j with room for
-its edges but not for them.
+its edges but not for them.  Condition (1) needs F' to have an edge:
+every graph on v(F) vertices contains an edgeless F', so no graph is
+F'-free and ex(v(F), F') has no value.  Condition (2) then holds
+vacuously.
 """
 
 from __future__ import annotations
@@ -106,6 +109,8 @@ def check_condition1(
     m, k = f.n, f.k
     if m <= k:
         raise ParameterError(f"need v(F) > k, got v(F)={m}, k={k}")
+    if not f_sub.edge_count:
+        raise ParameterError("F' has no edges, so ex(v(F), F') is not defined")
     result = turan_number(m, f_sub, budget=budget)
     fp = floor_product(m, k)
     holds: bool | None = None

@@ -232,15 +232,6 @@ def spanned_edge_violation(
     return tuple(b.bit_length() - 1 for b in bits), max_edges + 1 + left
 
 
-def spanned_edge_threshold_free(h: Hypergraph, r: int, max_edges: int) -> bool:
-    """True iff every r-subset of V(H) spans at most max_edges edges.
-
-    With (k, r, max_edges) = (3, 5, 8) this is exactly freeness from the
-    complete 3-graph on five vertices minus one edge.
-    """
-    return spanned_edge_violation(h, r, max_edges) is None
-
-
 def threshold_free_params(f: Hypergraph) -> tuple[int, int] | None:
     """(r, max_edges) such that F-freeness equals the r-subset threshold test.
 

@@ -295,24 +295,16 @@ def _vertex_masks(n: int, k: int) -> list[int]:
     """For each vertex v of [n], the bitmask of the lex positions of the
     k-subsets of [n] that contain v.
 
-    The i-subsets of range(a, n) in lex order are the C(n-a-1, i-1) that
-    hold a, then the i-subsets of range(a+1, n).  So v's mask over them is
-    that first block when a = v, and for a < v it joins v's masks over the
-    (i-1)- and the i-subsets of range(a+1, n).
+    One pass over the k-subsets in lex order sets bit j of each of its
+    vertices' byte rows (bit j is bit j % 8 of byte j // 8, as
+    int.from_bytes reads a little-endian row).
     """
-    masks = []
-    for v in range(n):
-        # row[i]: v's mask over the i-subsets of range(a, n), from a = v
-        # down to 0; each step lowers i by one at most, so only the i with
-        # k - a <= i <= k are needed, and none is longer than C(n, k)
-        row = [0] * (k + 1)
-        for i in range(max(k - v, 1), k + 1):
-            row[i] = (1 << comb(n - v - 1, i - 1)) - 1
-        for a in range(v - 1, -1, -1):
-            for i in range(k, max(k - a, 1) - 1, -1):
-                row[i] = row[i - 1] | row[i] << comb(n - a - 1, i - 1)
-        masks.append(row[k])
-    return masks
+    rows = [bytearray((comb(n, k) + 7) // 8) for _ in range(n)]
+    for j, e in enumerate(combinations(range(n), k)):
+        byte, bit = j >> 3, 1 << (j & 7)
+        for v in e:
+            rows[v][byte] |= bit
+    return [int.from_bytes(row, "little") for row in rows]
 
 
 def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
@@ -325,7 +317,8 @@ def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
     cap = _kns(n, k, below)
     if f.edge_count == 0 and f.n > n:
         full = tuple(combinations(range(n), k))
-        return TuranResult(len(full), Hypergraph(k, n, full), 0, True, cap, False)
+        return TuranResult(len(full), Hypergraph(k, n, full), 0, True, cap,
+                           len(full) >= cap)
 
     engine = CopyIndex(n, f)
     cand = engine.cand

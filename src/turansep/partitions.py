@@ -24,9 +24,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import factorial, perm
-from typing import Iterator
 
 from .errors import ParameterError
 from .hypergraph import Hypergraph, _check_vertices
@@ -85,23 +84,6 @@ def _draw(rng: random.Random, n: int, k: int, s: int) -> tuple[tuple[int, ...], 
     """k disjoint sorted s-subsets of [n], drawn from rng in order."""
     draw = rng.sample(range(n), k * s)
     return tuple([tuple(sorted(draw[i * s:(i + 1) * s])) for i in range(k)])
-
-
-def enumerate_balanced_parts(n: int, k: int, t0: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All ordered choices of k disjoint s-sets, in lexicographic order."""
-    s = _validate(n, k, t0)
-    yield from _extend_parts((), tuple(range(n)), k, s)
-
-
-def _extend_parts(chosen: tuple, available: tuple, k: int, s: int):
-    """The choices of enumerate_balanced_parts that start with chosen, its
-    further parts drawn from available."""
-    if len(chosen) == k:
-        yield chosen
-        return
-    for part in combinations(available, s):
-        rest = tuple(v for v in available if v not in part)
-        yield from _extend_parts(chosen + (part,), rest, k, s)
 
 
 def crossing_count(h: Hypergraph, parts: BalancedParts) -> int:

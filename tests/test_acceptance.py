@@ -26,14 +26,12 @@ from turansep.densopt import (
     maximize_constrained,
     reference_bounds,
 )
-from turansep.embed import spanned_edge_threshold_free
+from turansep.embed import spanned_edge_violation
 from turansep.exact import random_maximal_free, turan_number
 from turansep.hypergraph import FamilySpec, build_named, density, serialize
-from turansep.partitions import (
-    crossing_probability,
-    enumerate_balanced_parts,
-    expectation_check,
-)
+from turansep.partitions import crossing_probability, expectation_check
+
+from oracles import enumerate_balanced_parts
 
 
 def K(ell, k):
@@ -152,7 +150,7 @@ def test_criterion_5_six_part_freeness():
     h = six_part_h(p)
     assert h.n == 46
     start = time.monotonic()
-    free = spanned_edge_threshold_free(h, 5, 8)
+    free = spanned_edge_violation(h, 5, 8) is None
     elapsed = time.monotonic() - start
     assert free
     inner = tuple(s6_star_edge_count(s) for s in p.sizes)
@@ -166,9 +164,9 @@ def test_criterion_5_six_part_freeness():
 def test_criterion_6_component_constructions():
     g = bipartite_g(10)
     assert g.edge_count == 570
-    assert spanned_edge_threshold_free(g, 4, 3)
+    assert spanned_edge_violation(g, 4, 3) is None
     s36 = iterated_blowup_s6(36)
-    assert spanned_edge_threshold_free(s36, 4, 2)
+    assert spanned_edge_violation(s36, 4, 2) is None
     scaled = [Fraction(6 * s6_star_edge_count(n), n**3) for n in (6, 36, 216)]
     assert scaled == sorted(scaled)
     assert all(d <= Fraction(2, 7) for d in scaled)
@@ -183,7 +181,7 @@ def test_criterion_7_matching_augmentation():
         h = random_maximal_free(15, k4, seed)
         out = augment_matching(h)
         assert out.edge_count == h.edge_count + 3, seed
-        assert spanned_edge_threshold_free(out, 5, 8), seed
+        assert spanned_edge_violation(out, 5, 8) is None, seed
     elapsed = time.monotonic() - start
     _report("criterion 7: matching augmentation",
             elapsed < 30.0, f"100 seeds in {elapsed:.1f}s < 30s")

@@ -355,6 +355,8 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
     binary.write_bytes(b"\xff\xfe\x00")
     k4_free = tmp_path / "k4_free.hg"
     k4_free.write_text(serialize(from_edges(3, 10, [(0, 1, 2)])))
+    edgeless = tmp_path / "edgeless.hg"
+    edgeless.write_text(serialize(from_edges(3, 4, [])))
     for argv in (
         ["build", "K:3,3"],
         ["turan", "5", "missing.hg"],
@@ -373,12 +375,19 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
         # --out that cannot be written: no report is printed
         ["build", "S6", "--out", str(tmp_path / "missing" / "s6.hg")],
         ["construct", "s6star", "7", "--out", str(tmp_path)],
+        # ex(v(F), F') has no value when F' has no edges
+        ["condition1", "D:1,3", str(edgeless)],
+        ["separate", "D:1,3", str(edgeless)],
     ):
         assert run(argv) == 2, argv
         out, err = capsys.readouterr()
         assert err.startswith("error: ") and err.count("\n") == 1, argv
         assert out == "", argv
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["binary.hg", "k4_free.hg"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "binary.hg", "edgeless.hg", "k4_free.hg"]
+    # condition 2, unlike condition 1, holds for it vacuously
+    code, out = invoke(capsys, "condition2", "D:1,3", str(edgeless), "--json")
+    assert code == 0 and json.loads(out)["condition2"]["holds"] is True
     run(["build", "S6", "--out", str(tmp_path)])
     assert capsys.readouterr().err.startswith(f"error: cannot write {str(tmp_path)!r}: ")
 

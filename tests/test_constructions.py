@@ -22,7 +22,7 @@ from turansep.constructions import (
     six_part_h,
     six_part_with_breakdown,
 )
-from turansep.embed import is_free, spanned_edge_threshold_free
+from turansep.embed import is_free, spanned_edge_violation
 from turansep.errors import ParameterError
 from turansep.exact import random_maximal_free
 from turansep.hypergraph import (
@@ -84,7 +84,7 @@ def test_iterated_blowup_structure_at_36():
     # each top-level part of size 6 carries an internal copy of the pattern
     assert induced(h, range(6)) == S6
     assert induced(h, range(6, 12)) == S6
-    assert spanned_edge_threshold_free(h, 4, 2)
+    assert spanned_edge_violation(h, 4, 2) is None
 
 
 def test_iterated_blowup_counts():
@@ -119,7 +119,7 @@ def test_bipartite_g_count_formula():
 
 
 def test_bipartite_g_k4_free():
-    assert spanned_edge_threshold_free(bipartite_g(10), 4, 3)
+    assert spanned_edge_violation(bipartite_g(10), 4, 3) is None
     with pytest.raises(ParameterError):
         bipartite_g(0)
 
@@ -240,7 +240,7 @@ def test_six_part_five_set_case_analysis():
 def test_augment_empty_graph():
     out = augment_matching(Hypergraph(3, 10, ()))
     assert out.edge_count == 2
-    assert spanned_edge_threshold_free(out, 5, 8)
+    assert spanned_edge_violation(out, 5, 8) is None
     assert out.edges == ((0, 1, 2), (5, 6, 7))
 
 

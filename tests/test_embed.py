@@ -16,7 +16,6 @@ from turansep.embed import (
     check_free,
     contains,
     is_free,
-    spanned_edge_threshold_free,
     spanned_edge_violation,
     threshold_free_params,
     validate_embedding,
@@ -24,7 +23,6 @@ from turansep.embed import (
 from turansep.errors import ParameterError
 from turansep.exact import _labelings, random_maximal_free, turan_number
 from turansep.hypergraph import FamilySpec, Hypergraph, build_named, from_edges
-from turansep.partitions import enumerate_balanced_parts
 
 
 def K(ell, k):
@@ -84,13 +82,13 @@ def test_embedding_maps_isolated_vertices():
 
 
 def test_threshold_scan_examples():
-    assert not spanned_edge_threshold_free(K(5, 3), 5, 8)
-    assert not spanned_edge_threshold_free(Km(5, 3), 5, 8)
-    assert spanned_edge_threshold_free(S6, 4, 2)
+    assert spanned_edge_violation(K(5, 3), 5, 8) is not None
+    assert spanned_edge_violation(Km(5, 3), 5, 8) is not None
+    assert spanned_edge_violation(S6, 4, 2) is None
     with pytest.raises(ParameterError):
-        spanned_edge_threshold_free(S6, 7, 2)
+        spanned_edge_violation(S6, 7, 2)
     with pytest.raises(ParameterError):
-        spanned_edge_threshold_free(S6, 2, 2)
+        spanned_edge_violation(S6, 2, 2)
 
 
 def test_threshold_violation_is_lex_first():
@@ -115,7 +113,7 @@ def test_agreement_with_threshold_scan():
         f = families[rng.randrange(len(families))]
         r = f.n
         max_edges = f.edge_count - 1
-        assert is_free(h, f) == spanned_edge_threshold_free(h, r, max_edges)
+        assert is_free(h, f) == (spanned_edge_violation(h, r, max_edges) is None)
         checked += 1
     assert checked == 200
     # negative searches: hosts free of the target, where the embedding
@@ -124,7 +122,7 @@ def test_agreement_with_threshold_scan():
     hosts = [(blowup, K(4, 3)), (blowup, Km(5, 3))]
     hosts += [(random_maximal_free(15, K(4, 3), s), K(4, 3)) for s in range(4)]
     for h, f in hosts:
-        assert spanned_edge_threshold_free(h, f.n, f.edge_count - 1)
+        assert spanned_edge_violation(h, f.n, f.edge_count - 1) is None
         assert contains(h, f) is None
 
 
@@ -212,7 +210,6 @@ def test_searches_leave_no_reference_cycles():
         six_part_h(SixPartParams((7, 7, 9, 7, 7, 9)))
         check_condition2(Km(9, 6), K(8, 6))
         check_condition2(Km(9, 5), K(8, 5))
-        list(enumerate_balanced_parts(6, 3, 3))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -298,8 +295,8 @@ def test_generic_scan_path_k4():
     # is complete
     h = Km(6, 4)
     assert spanned_edge_violation(h, 5, 4) == ((0, 1, 2, 3, 4), 5)
-    assert not spanned_edge_threshold_free(h, 6, 13)
-    assert spanned_edge_threshold_free(h, 6, 14)
+    assert spanned_edge_violation(h, 6, 13) is not None
+    assert spanned_edge_violation(h, 6, 14) is None
 
 
 def test_threshold_free_params():

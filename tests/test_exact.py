@@ -421,6 +421,8 @@ def _ladder_cases(draw):
 @example((from_edges(3, 5, list(combinations(range(4), 3))), 6, 5))
 @example((from_edges(3, 5, list(combinations(range(4), 3))), 4, None))
 @example((from_edges(3, 4, list(combinations(range(4), 3))), 6, 2))
+# an edgeless F that does not fit, settled without a search
+@example((from_edges(3, 5, []), 4, None))
 def test_ladder_is_sound(case):
     # every level the ladder searched agrees with the oracle, and the cap
     # bounds ex(n, F) from above, for F with isolated vertices too
@@ -463,13 +465,13 @@ def test_ladder_is_sound(case):
 
 
 def test_vertex_masks_match_candidates():
-    # up to k = n + 1, where no candidate exists, and k near n, where the
-    # masks over the i-subsets with i < k - a are never needed
-    for n in range(12):
-        for k in range(1, n + 2):
-            cand = list(combinations(range(n), k))
-            assert _vertex_masks(n, k) == [
-                sum(1 << j for j, e in enumerate(cand) if v in e) for v in range(n)]
+    # up to k = n + 1, where no candidate exists, and the largest tables the
+    # CLI builds: turan 33 K:5,3 and condition 1 of K-:32,30 / K:31,30
+    cases = [(n, k) for n in range(12) for k in range(1, n + 2)]
+    for n, k in cases + [(33, 3), (32, 30)]:
+        cand = list(combinations(range(n), k))
+        assert _vertex_masks(n, k) == [
+            sum(1 << j for j, e in enumerate(cand) if v in e) for v in range(n)]
 
 
 def _classes(vf):

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every
-private definition of the package is used."""
+"""Every module of the package uses each name it imports, every private
+definition of the package is used, and every public one is read by the
+package or by the benchmark, not by tests alone."""
 
 import ast
 from collections import Counter
@@ -7,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "turansep"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "turansep"
+# the benchmark's own modules; its tests are not among them
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 # __init__.py imports names to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -47,14 +51,15 @@ def _references(node: ast.AST) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
-def unreferenced_private(sources: list[str]) -> list[str]:
-    """Single-underscore functions, classes and methods that no code outside
-    their own body refers to."""
+def unreferenced(sources: list[str], private: bool, outside: Counter) -> list[str]:
+    """Functions, classes and methods, the single-underscore ones when
+    private and the public ones otherwise, that neither code outside their
+    own body nor the outside reads refer to."""
     trees = [ast.parse(source) for source in sources]
-    total = sum((_references(tree) for tree in trees), Counter())
+    total = sum((_references(tree) for tree in trees), outside)
     return [node.name for tree in trees for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name.startswith("_") == private and not node.name.startswith("__")
             and total[node.name] == _references(node)[node.name]]
 
 
@@ -62,11 +67,50 @@ def test_detector_flags_an_unreferenced_private_definition():
     sources = ["def _used():\n    pass\n\n\ndef _rec(x):\n    return _rec(x)\n",
                "class A:\n    def _helper(self):\n        pass\n\n"
                "    def __init__(self):\n        _used()\n"]
-    assert unreferenced_private(sources) == ["_rec", "_helper"]
+    assert unreferenced(sources, True, Counter()) == ["_rec", "_helper"]
     sources[1] += "\n    def run(self):\n        self._helper()\n"
-    assert unreferenced_private(sources) == ["_rec"]
+    assert unreferenced(sources, True, Counter()) == ["_rec"]
 
 
 def test_package_private_definitions_are_referenced():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
-    assert unreferenced_private(sources) == []
+    assert unreferenced(sources, True, Counter()) == []
+
+
+# public definitions that only tests read, each kept as an independent
+# check of an answer the package gives
+TEST_ONLY = {
+    "validate_embedding": "re-checks an embedding that contains returns",
+    "verify_counterexample": "re-checks a condition (2) counterexample",
+    "s6_star_edge_count": "closed form re-checking the S6 blow-up's edges",
+    "bipartite_g_edge_count": "closed form re-checking bipartite_g's edges",
+    "density": "the exact e(H)/C(n, k) that the acceptance suite checks",
+}
+
+
+def benchmark_reads() -> Counter:
+    """Names and attributes the benchmark reads, and the function names its
+    tracer looks up from the strings of tracing.TARGETS."""
+    reads = Counter()
+    targets = []
+    for path in BENCHMARK:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads += _references(tree)
+        targets += [node.value for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)]
+    assert len(targets) == 1
+    reads.update(n.value for n in ast.walk(targets[0])
+                 if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    return reads
+
+
+def test_detector_flags_an_unread_public_definition():
+    sources = ["def used():\n    pass\n\n\ndef rec(x):\n    return rec(x)\n",
+               "class A:\n    def helper(self):\n        used()\n"]
+    assert unreferenced(sources, False, Counter()) == ["rec", "A", "helper"]
+    assert unreferenced(sources, False, Counter(["A", "helper"])) == ["rec"]
+
+
+def test_package_public_definitions_are_read_outside_tests():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert sorted(unreferenced(sources, False, benchmark_reads())) == sorted(TEST_ONLY)

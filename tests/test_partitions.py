@@ -14,10 +14,11 @@ from turansep.partitions import (
     ExpectationReport,
     crossing_count,
     crossing_probability,
-    enumerate_balanced_parts,
     expectation_check,
     sample_parts,
 )
+
+from oracles import enumerate_balanced_parts
 
 
 def K(ell, k):
