@@ -7,7 +7,8 @@ emits, if any; ``run`` writes the envelope every report carries
 (``command``, ``version`` and, under --timing, ``timing_seconds``) and
 maps the verdict to the exit code: True 0 (success / property holds),
 False 1 (property violated, with a witness in the report), None 3
-(search budget exhausted).  Invalid input exits 2.
+(search budget exhausted).  Invalid input exits 2, and so does an input
+too large to fit in memory (``error: out of memory ...``).
 
 Family arguments accept ``K:l,k`` (complete), ``K-:l,k`` (complete minus
 an edge), ``D:t,k`` (daisy), ``S6``, or a path to a hypergraph file.
@@ -399,6 +400,10 @@ def run(argv: list[str] | None = None) -> int:
         emit_report(args, payload, graph)
     except (ParameterError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory: the input is too large for this command",
+              file=sys.stderr)
         return 2
     return {True: 0, False: 1, None: 3}[verdict]
 

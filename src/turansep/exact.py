@@ -71,10 +71,11 @@ given below >= ex(n-1, F), the bound the ladder holds (exact when the
 level below exhausted).  A completion beating the incumbent keeps
 need = best + 1 - below edges or more through every vertex, so a pass
 is cut when some vertex lies in fewer candidates of inc | alive.  Each
-vertex has one mask over the candidate indices.  A node's first pass
-checks all n vertices, since the kills and a grown best can lower any
-of them below need; a later pass checks the k vertices of the candidate
-just excluded, and no pass checks while need <= 0.  The cut is strict
+vertex has one mask over the candidate indices, its incidence row in the
+complete k-graph (built as Hypergraph.incidence is).  A node's first
+pass checks all n vertices, since the kills and a grown best can lower
+any of them below need; a later pass checks the k vertices of the
+candidate just excluded, and no pass checks while need <= 0.  The cut is strict
 like the packing cut, so values and witnesses are unchanged, and
 C(n-1, k) is always a valid below.
 
@@ -103,7 +104,7 @@ from math import comb
 
 from .embed import _extend, _step_tree
 from .errors import ParameterError
-from .hypergraph import Hypergraph, drop_isolated
+from .hypergraph import Hypergraph, _incidence_rows, drop_isolated
 
 DEFAULT_BUDGET = 10**8
 
@@ -291,22 +292,6 @@ def turan_number(
     return replace(_search(n, f, budget, upper), ladder=tuple(ladder))
 
 
-def _vertex_masks(n: int, k: int) -> list[int]:
-    """For each vertex v of [n], the bitmask of the lex positions of the
-    k-subsets of [n] that contain v.
-
-    One pass over the k-subsets in lex order sets bit j of each of its
-    vertices' byte rows (bit j is bit j % 8 of byte j // 8, as
-    int.from_bytes reads a little-endian row).
-    """
-    rows = [bytearray((comb(n, k) + 7) // 8) for _ in range(n)]
-    for j, e in enumerate(combinations(range(n), k)):
-        byte, bit = j >> 3, 1 << (j & 7)
-        for v in e:
-            rows[v][byte] |= bit
-    return [int.from_bytes(row, "little") for row in rows]
-
-
 def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
     """The branch-and-bound search on n vertices, given below >= ex(n-1, F).
 
@@ -323,7 +308,7 @@ def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
     engine = CopyIndex(n, f)
     cand = engine.cand
     through = engine.through
-    by_vertex = _vertex_masks(n, k)
+    by_vertex = _incidence_rows(n, cand)
     chosen: list[int] = []
     best = 0
     witness: tuple[int, ...] = ()

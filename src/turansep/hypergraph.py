@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 from operator import lt
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import ParameterError, ParseError
 
@@ -76,7 +76,11 @@ class Hypergraph:
     def links(self) -> dict[int, int]:
         """Each (k-1)-set lying in an edge, as its vertex mask (the sum of
         1 << u over its vertices), mapped to the bitmask of the vertices that
-        complete it to an edge.  Read-only."""
+        complete it to an edge.  Read-only.
+
+        The copy searches extend partial copies through it; the crossing
+        count reads :attr:`incidence`.
+        """
         links: dict[int, int] = {}
         get = links.get
         bit = [1 << v for v in range(self.n)].__getitem__
@@ -89,12 +93,34 @@ class Hypergraph:
         return links
 
     @cached_property
+    def incidence(self) -> list[int]:
+        """For each vertex v, the bitmask of the indices in ``edges`` of the
+        edges that hold v.  Read-only."""
+        return _incidence_rows(self.n, self.edges)
+
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
         degs = [0] * self.n
         for e in self.edges:
             for v in e:
                 degs[v] += 1
         return tuple(degs)
+
+
+def _incidence_rows(n: int, edges: Sequence[Sequence[int]]) -> list[int]:
+    """For each vertex v of [n], the bitmask of the positions j with v in
+    edges[j].
+
+    One pass over the edges sets bit j of each of its vertices' byte rows
+    (bit j is bit j % 8 of byte j // 8, as int.from_bytes reads a
+    little-endian row).
+    """
+    rows = [bytearray((len(edges) + 7) // 8) for _ in range(n)]
+    for j, e in enumerate(edges):
+        byte, bit = j >> 3, 1 << (j & 7)
+        for v in e:
+            rows[v][byte] |= bit
+    return [int.from_bytes(row, "little") for row in rows]
 
 
 def from_edges(k: int, n: int, edges: Iterable[Iterable[int]]) -> Hypergraph:

@@ -7,16 +7,18 @@ k! s^k (n-k)! / n!, so the expected number of crossing edges is e(H) times
 that; this module computes the probability exactly, samples parts
 reproducibly, and checks the identity empirically.
 
-The count reads ``Hypergraph.links``: a crossing edge is a transversal of
-U_1..U_{k-1} together with a vertex of U_k in its link, so one trial costs
-s^(k-1) link lookups, each keyed by the sum of the transversal's vertex
-bits, whatever e(H) is.
+The count reads ``Hypergraph.incidence``, each vertex's bitmask over the
+edge indices: OR the rows of each part, AND the k results and count the
+bits.  An edge has k vertices, so an edge that meets all k disjoint
+parts meets each one exactly once.  One trial costs k*s ORs of e(H)-bit
+ints, where reading the links of every transversal would cost s^(k-1)
+lookups.
 
 Divisibility t0 | n is required; per-trial randomness is a deterministic
 function of (seed, trial index), so trials are schedule-independent.
 ``expectation_check`` re-seeds one generator per call with each trial's
 seed, which draws the same parts as ``sample_parts`` with that seed, and
-skips the validation of parts it drew itself.
+reads the draw in chunks of s, unsorted, without validating them.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import factorial, perm
+from typing import Iterable, Sequence
 
 from .errors import ParameterError
 from .hypergraph import Hypergraph, _check_vertices
@@ -77,41 +79,35 @@ def crossing_probability(n: int, k: int, t0: int) -> Fraction:
 def sample_parts(n: int, k: int, t0: int, seed) -> BalancedParts:
     """Uniform ordered choice of k disjoint s-sets, deterministic per seed."""
     s = _validate(n, k, t0)
-    return BalancedParts(_draw(random.Random(seed), n, k, s))
-
-
-def _draw(rng: random.Random, n: int, k: int, s: int) -> tuple[tuple[int, ...], ...]:
-    """k disjoint sorted s-subsets of [n], drawn from rng in order."""
-    draw = rng.sample(range(n), k * s)
-    return tuple([tuple(sorted(draw[i * s:(i + 1) * s])) for i in range(k)])
+    draw = random.Random(seed).sample(range(n), k * s)
+    return BalancedParts(
+        tuple([tuple(sorted(draw[i:i + s])) for i in range(0, k * s, s)]))
 
 
 def crossing_count(h: Hypergraph, parts: BalancedParts) -> int:
     """Number of edges meeting every part in exactly one vertex.
 
-    Such an edge is a transversal t of U_1..U_{k-1} plus a vertex of U_k
-    in the link of t, so the count is s^(k-1) lookups in ``h.links``.
+    These are the edges meeting all k parts: the AND over the parts of
+    the OR of their vertices' rows in ``h.incidence``.
     """
     if len(parts.parts) != h.k:
         raise ParameterError(
             f"need k={h.k} parts, got {len(parts.parts)}")
     for p in parts.parts:
         _check_vertices(h, p)
-    return _count(h.links, parts.parts)
+    return _count(h.incidence, parts.parts)
 
 
-def _count(links: dict[int, int], parts: tuple[tuple[int, ...], ...]) -> int:
-    """Crossing edges of valid parts, read off the host's links; each
-    transversal is looked up by the sum of its vertex bits."""
-    *heads, last = parts
-    target = 0
-    for v in last:
-        target |= 1 << v
-    get = links.get
-    total = 0
-    for t in product(*[[1 << v for v in p] for p in heads]):
-        total += (get(sum(t), 0) & target).bit_count()
-    return total
+def _count(rows: list[int], parts: Iterable[Sequence[int]]) -> int:
+    """Crossing edges of k valid parts, read off the host's incidence
+    rows."""
+    common = -1
+    for p in parts:
+        edges = 0
+        for v in p:
+            edges |= rows[v]
+        common &= edges
+    return common.bit_count()
 
 
 def expectation_check(
@@ -124,13 +120,15 @@ def expectation_check(
     n, k = h.n, h.k
     s = _validate(n, k, t0)
     exact = h.edge_count * crossing_probability(n, k, t0)
-    links = h.links
+    rows = h.incidence
+    starts = range(0, k * s, s)
     rng = random.Random()
     values = []
     for i in range(trials):
         # the stream of random.Random(f"{seed}:{i}"), as in sample_parts
         rng.seed(f"{seed}:{i}")
-        values.append(_count(links, _draw(rng, n, k, s)))
+        draw = rng.sample(range(n), k * s)
+        values.append(_count(rows, [draw[j:j + s] for j in starts]))
     mean = sum(values) / trials
     if trials > 1:
         var = sum((v - mean) ** 2 for v in values) / (trials - 1)

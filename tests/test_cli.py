@@ -13,6 +13,7 @@ import sys
 import tempfile
 import time
 import tomllib
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 from unittest import mock
@@ -599,6 +600,10 @@ _REPORTS = Path(__file__).parent / "reports"
     ("separate_K5_K4", ["separate", "K:5,3", "K:4,3"], 0),
     ("free_check_K5_K4", ["free-check", "K:5,3", "K:4,3"], 1),
     ("free_check_S6_K4minus", ["free-check", "S6", "K-:4,3"], 0),
+    ("crossing_S6", ["crossing", "S6", "--t0", "3", "--trials", "200",
+                     "--seed", "7"], 0),
+    ("crossing_K12", ["crossing", "K:12,3", "--t0", "4", "--trials", "50",
+                      "--seed", "3"], 0),
 ])
 def test_reports_pinned(name, argv, code, fmt, threads):
     expected = (_REPORTS / f"{name}.{fmt}").read_text()
@@ -611,6 +616,51 @@ def _check_exit_contract(argv):
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err and err.count("error:") <= 1, argv
     assert _run_captured(argv + ["--threads", "8"]) == (code, out, err), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["free-check", "{huge}", "K:4,3"],
+    ["condition2", "K:4,3", "{huge}"],
+])
+def test_out_of_memory_exits_2(argv, tmp_path):
+    # a header of 10^12 vertices: free-check builds a (1 << n) vertex mask
+    # and condition2 a degree list of length n, which cannot fit; the child
+    # caps its own address space so the attempt fails fast everywhere
+    huge = tmp_path / "huge.hg"
+    huge.write_text("3 1000000000000\n")
+    argv = [a.format(huge=huge) for a in argv]
+    child = (
+        "import json, resource, sys\n"
+        "from test_cli import _check_exit_contract, _run_captured\n"
+        "cap = 1 << 30\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "_check_exit_contract(argv)\n"
+        "print(json.dumps(_run_captured(argv)))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).parent), str(Path(turansep.__file__).parents[1])])}
+    proc = subprocess.run([sys.executable, "-c", child, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, out, err = json.loads(proc.stdout)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
+def test_wide_parts_crossing_is_fast(tmp_path):
+    # parts of 10,000 vertices: the count costs k*s ORs per trial, where
+    # one lookup per transversal of two parts would be 10^8
+    host = tmp_path / "wide.hg"
+    host.write_text("3 30000\n0 1 2\n")
+    start = time.monotonic()
+    code, out, err = _run_captured(
+        ["crossing", str(host), "--t0", "3", "--trials", "3", "--json"])
+    assert time.monotonic() - start < 5
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["trials"] == 3
+    assert (Fraction(payload["exact_expectation"])
+            == Fraction(payload["crossing_probability"]))
 
 
 def _without_echoes(out):

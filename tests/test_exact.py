@@ -17,11 +17,11 @@ from turansep.exact import (
     _anchors,
     _labelings,
     _search,
-    _vertex_masks,
     random_maximal_free,
     turan_number,
 )
-from turansep.hypergraph import FamilySpec, build_named, from_edges, serialize
+from turansep.hypergraph import (
+    FamilySpec, _incidence_rows, build_named, from_edges, serialize)
 
 
 def K(ell, k):
@@ -470,7 +470,7 @@ def test_vertex_masks_match_candidates():
     cases = [(n, k) for n in range(12) for k in range(1, n + 2)]
     for n, k in cases + [(33, 3), (32, 30)]:
         cand = list(combinations(range(n), k))
-        assert _vertex_masks(n, k) == [
+        assert _incidence_rows(n, cand) == [
             sum(1 << j for j, e in enumerate(cand) if v in e) for v in range(n)]
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from turansep.errors import ParameterError
 from turansep.hypergraph import FamilySpec, Hypergraph, build_named, from_edges
@@ -148,6 +148,18 @@ def _hosts_and_parts(draw):
 def test_crossing_count_matches_edge_mask_oracle(case):
     h, parts = case
     assert crossing_count(h, parts) == _edge_mask_count(h, parts)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_hosts_and_parts())
+@example((Hypergraph(3, 6, ()), BalancedParts(((0, 1), (2, 3), (4, 5)))))
+@example((from_edges(3, 9, [(0, 2, 4), (2, 4, 6)]),
+          BalancedParts(((0, 1, 2), (3, 4, 5), (6, 7, 8)))))
+def test_incidence_matches_edge_scan_oracle(case):
+    # edgeless hosts and hosts with isolated vertices give rows equal to 0
+    h, _ = case
+    assert h.incidence == [sum(1 << j for j, e in enumerate(h.edges) if v in e)
+                           for v in range(h.n)]
 
 
 def _expectation_oracle(h, t0, trials, seed):
