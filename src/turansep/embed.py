@@ -22,6 +22,23 @@ left, the mask of vertices lying in all but at most j of the links of its
 (k-1)-subsets.  The last of those masks gives the candidates for the next
 vertex, and a child folds in only the links through its new vertex, each
 keyed by a (k-2)-subset mask of the prefix ORed with the new vertex's bit.
+Only vertices of degree at least C(r-1, k-1) - slack take part: a vertex
+of a violating r-subset lies in all but at most the slack of the
+C(r-1, k-1) k-subsets of the subset through it.
+
+A prefix of r - 2 vertices decides its last two vertices at once, on
+pair matrices: pair (x, y) of [n] sits at bit (n+1)·x + y, and the
+matrix of a (k-2)-set u has row x = links[u | 1 << x].  Folded into
+slack levels and met with lifts of the vertex levels (``_pair_found``),
+they show in a few big-int operations whether any pair completes the
+prefix; a prefix that none completes is cut without a step per
+candidate.  The test runs only where the prefix has at least n/16
+candidates: its big-int work grows with n², a step's with n, and a
+sparse host, whose prefixes have few candidates, builds no n(n+1)-bit
+matrix at all (one is about 112 MB at n = 30,000).  The matrices are
+built on first use, at most one per (k-2)-set whose prefix takes the
+test: about twice the payload of the links for k = 3 on a dense host.
+
 ``check_free`` picks between that scan and the embedding search from F's
 structure alone (``threshold_free_params``).
 """
@@ -30,6 +47,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -156,9 +174,81 @@ def is_free(h: Hypergraph, f: Hypergraph) -> bool:
     return check_free(h, f)[1] is None
 
 
-def _complete(links: dict[int, int], k: int, r: int, n: int,
-              prefix: tuple[int, ...], miss: list[int], c: int
-              ) -> tuple[tuple[int, ...], int] | None:
+class _PairMatrices(dict):
+    """The scan's pair matrices, keyed by (k-2)-set mask, each built on
+    first use.
+
+    Pair (x, y) of [n] sits at bit (n+1)·x + y, so row x is n bits with a
+    clear guard bit above it, and the matrix of a (k-2)-set u has row x =
+    links[u | 1 << x]: bit (x, y) is set when u ∪ {x, y} is an edge.  The
+    constants of that layout (``_layout``) are geometric series, each a
+    few big-int operations, built when the pair test first runs.  A scan
+    creates one of these and holds at most one n(n+1)-bit matrix per
+    (k-2)-set whose prefix takes the test; for k = 3 on a dense host that
+    is about twice the payload of the links.
+    """
+
+    def __init__(self, links: dict[int, int], n: int) -> None:
+        super().__init__()
+        self.links, self.n = links, n
+
+    def __missing__(self, u: int) -> int:
+        # row x lands at bit (n+1)·x once the rows above it are shifted in
+        get, shift = self.links.get, self.n + 1
+        row = 0
+        for x in range(self.n - 1, -1, -1):
+            row = row << shift | get(u | 1 << x, 0)
+        self[u] = row
+        return row
+
+    @cached_property
+    def _layout(self) -> tuple[int, int, int]:
+        """(rep, spread, upper): rep has bit (n+1)·x for every row x, so w *
+        rep copies an n-bit w into every row (a column lift); the bits of
+        (w * spread) & rep are the (n+1)·x for x in w, which times 2^n - 1
+        fill those rows (a row lift); upper holds the pairs with y > x."""
+        n = self.n
+        rep = ((1 << (n + 1) * n) - 1) // ((1 << n + 1) - 1)
+        spread = ((1 << n * n) - 1) // ((1 << n) - 1)
+        # row x of upper is 2^n - 2^(x+1), and no row borrows from the next
+        diag = ((1 << (n + 2) * n) - 1) // ((1 << n + 2) - 1)
+        return rep, spread, (rep << n) - (diag << 1)
+
+
+def _pair_found(pairs: _PairMatrices, subs: list[int], miss: list[int],
+                c: int) -> bool:
+    """Whether some x in c and y > x complete the prefix within its slack.
+
+    subs holds the masks of the prefix's (k-2)-subsets and miss its vertex
+    levels (see _complete).  Adding x and y misses m(x) + m(y) +
+    #{u in subs : y not in links[u | x]} k-subsets, m(v) being the lowest
+    level that holds v.  Pair level t starts as the pairs y > x with m(y)
+    <= t (column lifts of miss) and folds in the matrices of subs by
+    _complete's recurrence, so it holds the pairs whose y and pair misses
+    come to at most t.  A row lift of c & miss[a] then meets level slack -
+    a, for each a, and no x is enumerated.
+    """
+    rep, spread, upper = pairs._layout
+    pair = [w * rep & upper for w in miss]
+    slack = len(miss) - 1
+    down = range(slack, 0, -1)
+    for u in subs:
+        m = pairs[u]
+        for i in down:
+            pair[i] = pair[i] & m | pair[i - 1]
+        pair[0] &= m
+    n = pairs.n
+    for w in miss:
+        # bit (n+1)·x for each x in c & w; times 2^n - 1 it fills row x
+        x = (c & w) * spread & rep
+        if pair[slack] & (x << n) - x:
+            return True
+        slack -= 1
+    return False
+
+
+def _complete(pairs: _PairMatrices, k: int, r: int, prefix: tuple[int, ...],
+              miss: list[int], c: int) -> tuple[tuple[int, ...], int] | None:
     """Lex-first completion of prefix to an r-subset missing at most the
     slack in k-subsets, as (subset, slack left over), or None.
 
@@ -170,14 +260,25 @@ def _complete(links: dict[int, int], k: int, r: int, n: int,
     above the prefix that leave room for the rest.  A child keeps the
     levels within its own slack and folds in the links of the
     (k-1)-subsets through its new vertex, each the mask of a (k-2)-subset
-    of the prefix ORed with the new bit.  A module function rather than a
-    closure, for the reason _extend gives.
+    of the prefix ORed with the new bit.
+
+    A prefix of r - 2 vertices with at least n/16 candidates first takes
+    the pair test (_pair_found), which decides the last two vertices at
+    once: a prefix that no pair completes is cut without a step per
+    candidate, and one that some pair completes takes the steps below,
+    which find the lex-first pair.  The test's work grows with its
+    n(n+1)-bit matrices and a step's with one n-bit mask, hence a gate
+    that grows with n.  A module function rather than a closure, for the
+    reason _extend gives.
     """
-    d, slack = len(prefix), len(miss) - 1
+    d, slack, n = len(prefix), len(miss) - 1, pairs.n
     subs = list(map(sum, combinations(prefix, k - 2)))
+    if (d + 2 == r and c.bit_count() * 16 >= n
+            and not _pair_found(pairs, subs, miss, c)):
+        return None
     # the vertex after v lies above it and leaves room for r - d - 2 more
     room = (1 << n - r + d + 2) - 1
-    get = links.get
+    get = pairs.links.get
     while c:
         low = c & -c
         c ^= low
@@ -196,7 +297,7 @@ def _complete(links: dict[int, int], k: int, r: int, n: int,
         # -(low << 1) keeps the bits above low
         cc = child[-1] & -(low << 1) & room
         if cc:
-            found = _complete(links, k, r, n, prefix + (low,), child, cc)
+            found = _complete(pairs, k, r, prefix + (low,), child, cc)
             if found:
                 return found
     return None
@@ -212,9 +313,10 @@ def spanned_edge_violation(
     of its k-subsets: 0 for a complete target, 1 for complete-minus and
     k + 1 - t for a daisy D:t,k.  The search grows prefixes in lex order
     and cuts a prefix once it misses more than the slack, which is sound
-    because a prefix only misses more k-subsets as it grows.  A cut
-    subtree holds no violation, so the first subset found is the
-    lex-first one.
+    because a prefix only misses more k-subsets as it grows.  It draws
+    only on vertices of degree at least C(r-1, k-1) - slack, which every
+    vertex of a violating subset has.  A cut subtree holds no violation,
+    so the first subset found is the lex-first one.
     """
     if not h.k <= r <= h.n:
         raise ParameterError(f"need k <= r <= n, got k={h.k}, r={r}, n={h.n}")
@@ -223,9 +325,13 @@ def spanned_edge_violation(
     slack = comb(r, h.k) - max_edges - 1
     if slack < 0:
         return None
-    full = (1 << h.n) - 1
-    found = _complete(h.links, h.k, r, h.n, (), [full] * (slack + 1),
-                      full >> r - 1)
+    # a vertex of a violating subset lies in all but at most slack of the
+    # C(r - 1, k - 1) k-subsets of the subset through it, so in that many
+    # edges; one parse of a binary string, not n shifts of a growing int
+    need = comb(r - 1, h.k - 1) - slack
+    alive = int("".join("01"[d >= need] for d in reversed(h.degrees)), 2)
+    found = _complete(_PairMatrices(h.links, h.n), h.k, r, (),
+                      [alive] * (slack + 1), alive & (1 << h.n - r + 1) - 1)
     if found is None:
         return None
     bits, left = found

@@ -663,6 +663,22 @@ def test_wide_parts_crossing_is_fast(tmp_path):
             == Fraction(payload["crossing_probability"]))
 
 
+@pytest.mark.parametrize("target", ["K-:5,3", "K:4,3"])
+def test_wide_sparse_free_check_is_fast(target, tmp_path):
+    # 30,000 vertices and one edge: no vertex has the degree a vertex of a
+    # violating subset needs, so the scan has no root; branching on every
+    # vertex pair or triple of the host ran for minutes
+    host = tmp_path / "wide.hg"
+    host.write_text("3 30000\n0 1 2\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(turansep.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "turansep.cli", "free-check", str(host), target,
+         "--json"], capture_output=True, text=True, env=env, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert (report["free"], report["method"]) == (True, "subset-scan")
+
+
 def _without_echoes(out):
     """A report without the fields that echo a family argument as typed."""
     echoes = ("family", "f", "f_sub")

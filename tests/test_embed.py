@@ -2,16 +2,21 @@
 
 import gc
 import random
+import tracemalloc
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from turansep import embed
 from turansep.constructions import SixPartParams, iterated_blowup_s6, six_part_h
 from turansep.criteria import check_condition2
 from turansep.embed import (
     Embedding,
+    _PairMatrices,
+    _pair_found,
     _vertex_order,
     check_free,
     contains,
@@ -281,6 +286,111 @@ def test_scan_matches_oracle_on_near_extremal_hosts(pair):
     h, f = pair
     params = threshold_free_params(f)
     assert spanned_edge_violation(h, *params) == _oracle_violation(h, *params)
+
+
+def _miss_levels(h, prefix, slack):
+    # level j: the vertices w outside the prefix for which at most j of the
+    # k-subsets of prefix + w through w are non-edges
+    miss = [0] * (slack + 1)
+    for w in set(range(h.n)) - set(prefix):
+        missed = sum(1 for t in combinations(prefix, h.k - 1)
+                      if tuple(sorted(t + (w,))) not in h.edge_set)
+        for j in range(missed, slack + 1):
+            miss[j] |= 1 << w
+    return miss
+
+
+def _pair_oracle(h, prefix, slack, xs):
+    # brute force over the pairs: some x in xs and y > x for which at most
+    # slack of the k-subsets of prefix + {x, y} through x or y are non-edges
+    for x in xs:
+        for y in range(x + 1, h.n):
+            grown = sorted((*prefix, x, y))
+            missed = sum(1 for t in combinations(grown, h.k)
+                          if (x in t or y in t) and t not in h.edge_set)
+            if missed <= slack:
+                return True
+    return False
+
+
+def test_pair_test_matches_pair_oracle():
+    # slack 0 is a complete target, 1 complete-minus or D:3,3, 2 and 3 the
+    # daisies D:2,3 and D:1,3; prefixes and candidates are random, as the
+    # test reads nothing but the levels, the (k-2)-subsets and c
+    rng = random.Random(24)
+    outcomes = set()
+    for _ in range(2000):
+        k = rng.randint(2, 4)
+        n = rng.randint(k + 1, 11)
+        density = rng.choice([0.5, 0.8, 0.95])
+        h = from_edges(k, n, [e for e in combinations(range(n), k)
+                              if rng.random() < density])
+        prefix = tuple(sorted(rng.sample(range(n - 1), rng.randint(0, n - 2))))
+        slack = rng.randint(0, 3)
+        miss = _miss_levels(h, prefix, slack)
+        above = prefix[-1] + 1 if prefix else 0
+        xs = [v for v in range(above, n) if miss[-1] >> v & 1 and rng.random() < 0.7]
+        subs = [sum(1 << u for u in t) for t in combinations(prefix, k - 2)]
+        found = _pair_found(_PairMatrices(h.links, n), subs, miss,
+                            sum(1 << x for x in xs))
+        assert found == _pair_oracle(h, prefix, slack, xs), (h, prefix, slack, xs)
+        outcomes.add(found)
+    assert outcomes == {True, False}
+
+
+@st.composite
+def _dense_hosts(draw):
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(12, 24))
+    density = draw(st.sampled_from([0.9, 0.7, 0.5, 0.35, 0.2]))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    h = from_edges(k, n, [e for e in combinations(range(n), k)
+                          if rng.random() < density])
+    targets = [K(k + 1, k), K(k + 2, k), Km(k + 1, k), Km(k + 2, k)]
+    targets += [build_named(FamilySpec.daisy(t, k)) for t in range(1, k + 1)]
+    return h, draw(st.sampled_from(targets))
+
+
+def test_scan_matches_oracle_on_dense_hosts():
+    # hosts of 12 to 24 vertices, where prefixes of r - 2 vertices have
+    # enough candidates for the pair test to run and cut
+    cuts = []
+
+    def counted(*args):
+        found = _pair_found(*args)
+        cuts.append(not found)
+        return found
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(_dense_hosts())
+    def check(pair):
+        h, f = pair
+        params = threshold_free_params(f)
+        assert spanned_edge_violation(h, *params) == _oracle_violation(h, *params)
+
+    with mock.patch.object(embed, "_pair_found", counted):
+        check()
+    assert any(cuts)
+
+
+def test_scan_builds_no_pair_matrices_on_sparse_hosts():
+    # 600 vertices and 3,000 random triples: no prefix has the n/16
+    # candidates the pair test needs, so no n(n+1)-bit pair matrix is built;
+    # one per vertex would take about 26 MB
+    rng = random.Random(600)
+    triples = set()
+    while len(triples) < 3000:
+        triples.add(tuple(sorted(rng.sample(range(600), 3))))
+    h = from_edges(3, 600, triples)
+    h.links, h.degrees  # the host's own tables are not the scan's memory
+    tracemalloc.start()
+    try:
+        found = spanned_edge_violation(h, 4, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (found is None) == (contains(h, K(4, 3)) is None)
+    assert peak < 2 << 20
 
 
 def test_scan_violations_pinned_at_benchmark_size():
