@@ -32,12 +32,20 @@ matrix of a (k-2)-set u has row x = links[u | 1 << x].  Folded into
 slack levels and met with lifts of the vertex levels (``_pair_found``),
 they show in a few big-int operations whether any pair completes the
 prefix; a prefix that none completes is cut without a step per
-candidate.  The test runs only where the prefix has at least n/16
-candidates: its big-int work grows with n², a step's with n, and a
-sparse host, whose prefixes have few candidates, builds no n(n+1)-bit
-matrix at all (one is about 112 MB at n = 30,000).  The matrices are
-built on first use, at most one per (k-2)-set whose prefix takes the
-test: about twice the payload of the links for k = 3 on a dense host.
+candidate.  The test runs only where it costs less than the steps it
+saves.  With s slack levels and m (k-2)-subsets in the prefix, it folds
+m matrices of n(n+1) bits into each level and lifts each level by two
+multiplies with n(n+1)-bit constants, together about n/64 such folds:
+some s·n(n+1)·(m + n/64) bit operations.  A step per candidate costs about
+2^13 of them, and the test about one step more than its bit work, as
+timed per prefix on six-part blow-ups of 46 to 138 vertices, complete
+bipartite graphs of 30 to 700 and random 3-graphs of 40 and 80.  The
+multiplies grow with n³ while a step's cost hardly grows, so the test
+never runs on a host of more than 691 vertices and no matrix passes
+60 KB; a wider host, dense or sparse, takes its steps as before.  The
+matrices are built on first use, at most one per (k-2)-set whose prefix
+takes the test: about twice the payload of the links for k = 3 on a
+dense host.
 
 ``check_free`` picks between that scan and the embedding search from F's
 structure alone (``threshold_free_params``).
@@ -185,21 +193,34 @@ class _PairMatrices(dict):
     few big-int operations, built when the pair test first runs.  A scan
     creates one of these and holds at most one n(n+1)-bit matrix per
     (k-2)-set whose prefix takes the test; for k = 3 on a dense host that
-    is about twice the payload of the links.
+    is about twice the payload of the links.  least[j] is the fewest
+    candidates with which a prefix that has slack j left takes the test:
+    its work, (j + 1)·n(n+1)·(subsets + n/64) bit operations (see the
+    module docstring), must come to at most 2^13 a candidate beyond the
+    first.
     """
 
-    def __init__(self, links: dict[int, int], n: int) -> None:
+    def __init__(self, links: dict[int, int], n: int, subsets: int,
+                 slack: int) -> None:
         super().__init__()
         self.links, self.n = links, n
+        work = n * (n + 1) * (64 * subsets + n)
+        self.least = [1 - (-(j + 1) * work >> 19) for j in range(slack + 1)]
 
     def __missing__(self, u: int) -> int:
-        # row x lands at bit (n+1)·x once the rows above it are shifted in
+        # rows joined in pairs, then pairs of pairs: linear in the matrix at
+        # each of the log2(n) rounds, where shifting each row in on top of
+        # the rows before it would copy the matrix n times
         get, shift = self.links.get, self.n + 1
-        row = 0
-        for x in range(self.n - 1, -1, -1):
-            row = row << shift | get(u | 1 << x, 0)
-        self[u] = row
-        return row
+        rows = [get(u | 1 << x, 0) for x in range(self.n)]
+        while len(rows) > 1:
+            if len(rows) & 1:
+                rows.append(0)
+            it = iter(rows)
+            rows = [low | high << shift for low, high in zip(it, it)]
+            shift <<= 1
+        self[u] = rows[0]
+        return rows[0]
 
     @cached_property
     def _layout(self) -> tuple[int, int, int]:
@@ -262,18 +283,18 @@ def _complete(pairs: _PairMatrices, k: int, r: int, prefix: tuple[int, ...],
     (k-1)-subsets through its new vertex, each the mask of a (k-2)-subset
     of the prefix ORed with the new bit.
 
-    A prefix of r - 2 vertices with at least n/16 candidates first takes
-    the pair test (_pair_found), which decides the last two vertices at
-    once: a prefix that no pair completes is cut without a step per
-    candidate, and one that some pair completes takes the steps below,
-    which find the lex-first pair.  The test's work grows with its
-    n(n+1)-bit matrices and a step's with one n-bit mask, hence a gate
-    that grows with n.  A module function rather than a closure, for the
-    reason _extend gives.
+    A prefix of r - 2 vertices with at least pairs.least[slack]
+    candidates first takes the pair test (_pair_found), which decides the
+    last two vertices at once: a prefix that no pair completes is cut
+    without a step per candidate, and one that some pair completes takes
+    the steps below, which find the lex-first pair.  The test's work grows
+    with n³ and a step's hardly at all, so the count it needs grows with
+    n.  A module function rather than a closure, for the reason _extend
+    gives.
     """
     d, slack, n = len(prefix), len(miss) - 1, pairs.n
     subs = list(map(sum, combinations(prefix, k - 2)))
-    if (d + 2 == r and c.bit_count() * 16 >= n
+    if (d + 2 == r and c.bit_count() >= pairs.least[slack]
             and not _pair_found(pairs, subs, miss, c)):
         return None
     # the vertex after v lies above it and leaves room for r - d - 2 more
@@ -330,7 +351,8 @@ def spanned_edge_violation(
     # edges; one parse of a binary string, not n shifts of a growing int
     need = comb(r - 1, h.k - 1) - slack
     alive = int("".join("01"[d >= need] for d in reversed(h.degrees)), 2)
-    found = _complete(_PairMatrices(h.links, h.n), h.k, r, (),
+    pairs = _PairMatrices(h.links, h.n, comb(r - 2, h.k - 2), slack)
+    found = _complete(pairs, h.k, r, (),
                       [alive] * (slack + 1), alive & (1 << h.n - r + 1) - 1)
     if found is None:
         return None

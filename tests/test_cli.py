@@ -663,16 +663,27 @@ def test_wide_parts_crossing_is_fast(tmp_path):
             == Fraction(payload["crossing_probability"]))
 
 
-@pytest.mark.parametrize("target", ["K-:5,3", "K:4,3"])
-def test_wide_sparse_free_check_is_fast(target, tmp_path):
+_WIDE_HOSTS = {
     # 30,000 vertices and one edge: no vertex has the degree a vertex of a
     # violating subset needs, so the scan has no root; branching on every
     # vertex pair or triple of the host ran for minutes
-    host = tmp_path / "wide.hg"
-    host.write_text("3 30000\n0 1 2\n")
+    "one-edge": "3 30000\n0 1 2\n",
+    # K_{2,29998}: every vertex has the degree a triangle needs and each hub
+    # 29,998 candidates, each a cheap step; a pair test would build a 112 MB
+    # matrix and multiply it, for minutes
+    "two-hubs": "2 30000\n" + "".join(
+        f"{a} {x}\n" for a in (0, 1) for x in range(2, 30000)),
+}
+
+
+@pytest.mark.parametrize("host, target", [
+    ("one-edge", "K-:5,3"), ("one-edge", "K:4,3"), ("two-hubs", "K:3,2")])
+def test_wide_sparse_free_check_is_fast(host, target, tmp_path):
+    path = tmp_path / "wide.hg"
+    path.write_text(_WIDE_HOSTS[host])
     env = {**os.environ, "PYTHONPATH": str(Path(turansep.__file__).parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-m", "turansep.cli", "free-check", str(host), target,
+        [sys.executable, "-m", "turansep.cli", "free-check", str(path), target,
          "--json"], capture_output=True, text=True, env=env, timeout=30)
     assert (proc.returncode, proc.stderr) == (0, "")
     report = json.loads(proc.stdout)

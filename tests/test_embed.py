@@ -2,7 +2,6 @@
 
 import gc
 import random
-import tracemalloc
 from itertools import combinations
 from math import comb
 from unittest import mock
@@ -331,8 +330,8 @@ def test_pair_test_matches_pair_oracle():
         above = prefix[-1] + 1 if prefix else 0
         xs = [v for v in range(above, n) if miss[-1] >> v & 1 and rng.random() < 0.7]
         subs = [sum(1 << u for u in t) for t in combinations(prefix, k - 2)]
-        found = _pair_found(_PairMatrices(h.links, n), subs, miss,
-                            sum(1 << x for x in xs))
+        pairs = _PairMatrices(h.links, n, len(subs), slack)
+        found = _pair_found(pairs, subs, miss, sum(1 << x for x in xs))
         assert found == _pair_oracle(h, prefix, slack, xs), (h, prefix, slack, xs)
         outcomes.add(found)
     assert outcomes == {True, False}
@@ -374,23 +373,31 @@ def test_scan_matches_oracle_on_dense_hosts():
 
 
 def test_scan_builds_no_pair_matrices_on_sparse_hosts():
-    # 600 vertices and 3,000 random triples: no prefix has the n/16
-    # candidates the pair test needs, so no n(n+1)-bit pair matrix is built;
+    # 600 vertices and 3,000 random triples: no prefix has the candidates
+    # for which the pair test pays, so no n(n+1)-bit pair matrix is built;
     # one per vertex would take about 26 MB
     rng = random.Random(600)
     triples = set()
     while len(triples) < 3000:
         triples.add(tuple(sorted(rng.sample(range(600), 3))))
     h = from_edges(3, 600, triples)
-    h.links, h.degrees  # the host's own tables are not the scan's memory
-    tracemalloc.start()
-    try:
+    with mock.patch.object(embed, "_pair_found") as test:
         found = spanned_edge_violation(h, 4, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    assert not test.called
     assert (found is None) == (contains(h, K(4, 3)) is None)
-    assert peak < 2 << 20
+
+
+def test_pair_test_skips_wide_hosts():
+    # K_{2,1998}: each hub's prefix has 1,998 candidates, but each step
+    # reads a two-bit link while a test would multiply 4-million-bit
+    # matrices; past 691 vertices no prefix has candidates enough to pay
+    n = 2000
+    h = from_edges(2, n, [(a, x) for a in (0, 1) for x in range(2, n)])
+    with mock.patch.object(embed, "_pair_found") as test:
+        assert spanned_edge_violation(h, 3, 2) is None
+    assert not test.called
+    assert _PairMatrices({}, 691, 1, 0).least[0] <= 691
+    assert _PairMatrices({}, 692, 1, 0).least[0] > 692
 
 
 def test_scan_violations_pinned_at_benchmark_size():
