@@ -27,22 +27,23 @@ of a violating r-subset lies in all but at most the slack of the
 C(r-1, k-1) k-subsets of the subset through it.
 
 A prefix of r - 2 vertices decides its last two vertices at once, on
-pair matrices: pair (x, y) of [n] sits at bit (n+1)·x + y, and the
-matrix of a (k-2)-set u has row x = links[u | 1 << x].  Folded into
+pair matrices: pair (x, y) of [n] sits at bit s·x + y, s being n + 1
+rounded up to whole bytes, and the matrix of a (k-2)-set u has row x =
+links[u | 1 << x].  Folded into
 slack levels and met with lifts of the vertex levels (``_pair_found``),
 they show in a few big-int operations whether any pair completes the
 prefix; a prefix that none completes is cut without a step per
 candidate.  The test runs only where it costs less than the steps it
-saves.  With s slack levels and m (k-2)-subsets in the prefix, it folds
-m matrices of n(n+1) bits into each level and lifts each level by two
-multiplies with n(n+1)-bit constants, together about n/64 such folds:
-some s·n(n+1)·(m + n/64) bit operations.  A step per candidate costs about
-2^13 of them, and the test about one step more than its bit work, as
+saves.  With l slack levels and m (k-2)-subsets in the prefix, it folds
+m matrices of about n² bits into each level and lifts each level by two
+multiplies with constants of that size, together about n/64 such folds:
+some l·n(n+1)·(m + n/64) bit operations.  A step per candidate costs
+about 2^13 of them, and the test about one step more than its bit work, as
 timed per prefix on six-part blow-ups of 46 to 138 vertices, complete
 bipartite graphs of 30 to 700 and random 3-graphs of 40 and 80.  The
 multiplies grow with n³ while a step's cost hardly grows, so the test
 never runs on a host of more than 691 vertices and no matrix passes
-60 KB; a wider host, dense or sparse, takes its steps as before.  The
+about 60 KB; a wider host, dense or sparse, takes its steps as before.  The
 matrices are built on first use, at most one per (k-2)-set whose prefix
 takes the test: about twice the payload of the links for k = 3 on a
 dense host.
@@ -186,53 +187,51 @@ class _PairMatrices(dict):
     """The scan's pair matrices, keyed by (k-2)-set mask, each built on
     first use.
 
-    Pair (x, y) of [n] sits at bit (n+1)·x + y, so row x is n bits with a
-    clear guard bit above it, and the matrix of a (k-2)-set u has row x =
-    links[u | 1 << x]: bit (x, y) is set when u ∪ {x, y} is an edge.  The
-    constants of that layout (``_layout``) are geometric series, each a
-    few big-int operations, built when the pair test first runs.  A scan
-    creates one of these and holds at most one n(n+1)-bit matrix per
-    (k-2)-set whose prefix takes the test; for k = 3 on a dense host that
-    is about twice the payload of the links.  least[j] is the fewest
-    candidates with which a prefix that has slack j left takes the test:
-    its work, (j + 1)·n(n+1)·(subsets + n/64) bit operations (see the
-    module docstring), must come to at most 2^13 a candidate beyond the
-    first.
+    Pair (x, y) of [n] sits at bit s·x + y, s = 8·width, so row x is n
+    bits with at least one clear guard bit above it, in whole bytes, and
+    the matrix of a (k-2)-set u has row x = links[u | 1 << x]: bit (x, y)
+    is set when u ∪ {x, y} is an edge.  The constants of that layout
+    (``_layout``) are geometric series, each a few big-int operations,
+    built when the pair test first runs.  A scan creates one of these and
+    holds at most one n·s-bit matrix per (k-2)-set whose prefix takes the
+    test; for k = 3 on a dense host that is about twice the payload of
+    the links.  least[j] is the fewest candidates with which a prefix
+    that has slack j left takes the test: its work, (j + 1)·n(n+1)·
+    (subsets + n/64) bit operations (see the module docstring), must come
+    to at most 2^13 a candidate beyond the first.
     """
 
     def __init__(self, links: dict[int, int], n: int, subsets: int,
                  slack: int) -> None:
         super().__init__()
         self.links, self.n = links, n
+        # bytes a row takes: n bits and a clear guard bit, rounded up
+        self.width = n // 8 + 1
         work = n * (n + 1) * (64 * subsets + n)
         self.least = [1 - (-(j + 1) * work >> 19) for j in range(slack + 1)]
 
     def __missing__(self, u: int) -> int:
-        # rows joined in pairs, then pairs of pairs: linear in the matrix at
-        # each of the log2(n) rounds, where shifting each row in on top of
-        # the rows before it would copy the matrix n times
-        get, shift = self.links.get, self.n + 1
-        rows = [get(u | 1 << x, 0) for x in range(self.n)]
-        while len(rows) > 1:
-            if len(rows) & 1:
-                rows.append(0)
-            it = iter(rows)
-            rows = [low | high << shift for low, high in zip(it, it)]
-            shift <<= 1
-        self[u] = rows[0]
-        return rows[0]
+        # the rows' bytes joined in order and read once: linear in the
+        # matrix, where shifting each row in would copy the matrix n times
+        get, width = self.links.get, self.width
+        rows = int.from_bytes(b"".join([
+            get(u | 1 << x, 0).to_bytes(width, "little")
+            for x in range(self.n)]), "little")
+        self[u] = rows
+        return rows
 
     @cached_property
     def _layout(self) -> tuple[int, int, int]:
-        """(rep, spread, upper): rep has bit (n+1)·x for every row x, so w *
-        rep copies an n-bit w into every row (a column lift); the bits of
-        (w * spread) & rep are the (n+1)·x for x in w, which times 2^n - 1
-        fill those rows (a row lift); upper holds the pairs with y > x."""
-        n = self.n
-        rep = ((1 << (n + 1) * n) - 1) // ((1 << n + 1) - 1)
-        spread = ((1 << n * n) - 1) // ((1 << n) - 1)
+        """(rep, spread, upper), for the row stride s = 8·width: rep has bit
+        s·x for every row x, so w * rep copies an n-bit w into every row (a
+        column lift); spread has bits (s-1)·i, so the bits of (w * spread)
+        & rep are the s·x for x in w, which times 2^n - 1 fill those rows
+        (a row lift); upper holds the pairs with y > x."""
+        n, s = self.n, 8 * self.width
+        rep = ((1 << s * n) - 1) // ((1 << s) - 1)
+        spread = ((1 << (s - 1) * n) - 1) // ((1 << s - 1) - 1)
         # row x of upper is 2^n - 2^(x+1), and no row borrows from the next
-        diag = ((1 << (n + 2) * n) - 1) // ((1 << n + 2) - 1)
+        diag = ((1 << (s + 1) * n) - 1) // ((1 << s + 1) - 1)
         return rep, spread, (rep << n) - (diag << 1)
 
 
@@ -260,7 +259,7 @@ def _pair_found(pairs: _PairMatrices, subs: list[int], miss: list[int],
         pair[0] &= m
     n = pairs.n
     for w in miss:
-        # bit (n+1)·x for each x in c & w; times 2^n - 1 it fills row x
+        # bit s·x for each x in c & w; times 2^n - 1 it fills row x
         x = (c & w) * spread & rep
         if pair[slack] & (x << n) - x:
             return True

@@ -374,7 +374,7 @@ def test_scan_matches_oracle_on_dense_hosts():
 
 def test_scan_builds_no_pair_matrices_on_sparse_hosts():
     # 600 vertices and 3,000 random triples: no prefix has the candidates
-    # for which the pair test pays, so no n(n+1)-bit pair matrix is built;
+    # for which the pair test pays, so no pair matrix of n rows is built;
     # one per vertex would take about 26 MB
     rng = random.Random(600)
     triples = set()
