@@ -29,24 +29,23 @@ C(r-1, k-1) k-subsets of the subset through it.
 A prefix of r - 2 vertices decides its last two vertices at once, on
 pair matrices: pair (x, y) of [n] sits at bit s·x + y, s being n + 1
 rounded up to whole bytes, and the matrix of a (k-2)-set u has row x =
-links[u | 1 << x].  Folded into
-slack levels and met with lifts of the vertex levels (``_pair_found``),
-they show in a few big-int operations whether any pair completes the
-prefix; a prefix that none completes is cut without a step per
-candidate.  The test runs only where it costs less than the steps it
-saves.  With l slack levels and m (k-2)-subsets in the prefix, it folds
-m matrices of about n² bits into each level and lifts each level by two
-multiplies with constants of that size, together about n/64 such folds:
-some l·n(n+1)·(m + n/64) bit operations.  A step per candidate costs
-about 2^13 of them, and the test about one step more than its bit work, as
-timed per prefix on six-part blow-ups of 46 to 138 vertices, complete
-bipartite graphs of 30 to 700 and random 3-graphs of 40 and 80.  The
-multiplies grow with n³ while a step's cost hardly grows, so the test
-never runs on a host of more than 691 vertices and no matrix passes
-about 60 KB; a wider host, dense or sparse, takes its steps as before.  The
-matrices are built on first use, at most one per (k-2)-set whose prefix
-takes the test: about twice the payload of the links for k = 3 on a
-dense host.
+links[u | 1 << x].  Folded into slack levels and met with lifts of the
+vertex levels (``_pair_found``), they show in a few big-int operations
+whether any pair completes the prefix; a prefix that none completes is
+cut without a step per candidate.  The test runs only where it costs
+less than the steps it saves.  With l slack levels and m (k-2)-subsets
+in the prefix, it folds m matrices of about n² bits into each level and
+lifts each level by two multiplies with constants of that size, together
+about n/64 such folds: some l·n(n+1)·(m + n/64) bit operations.  A step
+per candidate costs about 2^13 of them, and the test about one step more
+than its bit work, as timed per prefix on six-part blow-ups of 46 to 138
+vertices, complete bipartite graphs of 30 to 700 and random 3-graphs of
+40 and 80.  The multiplies grow with n³ while a step's cost hardly
+grows, so the test never runs on a host of more than 691 vertices and no
+matrix passes about 60 KB; a wider host, dense or sparse, takes its
+steps as before.  The matrices are built on first use, at most one per
+(k-2)-set whose prefix takes the test: about twice the payload of the
+links for k = 3 on a dense host.
 
 ``check_free`` picks between that scan and the embedding search from F's
 structure alone (``threshold_free_params``).
