@@ -85,6 +85,18 @@ def _vertex_order(f: Hypergraph) -> list[int]:
     return sorted(range(f.n), key=lambda v: (-f.degrees[v], v))
 
 
+def _step_lists(edges: Iterable[tuple[int, ...]],
+                v: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The steps of a copy search of F on positions 0..v-1, F's edges given
+    as sorted position tuples: for each position, the (k-1)-sets of the
+    edges that end there, in the order given.  An edge constrains the image
+    of its last position through those of its other k-1."""
+    steps: list[list[tuple[int, ...]]] = [[] for _ in range(v)]
+    for e in edges:
+        steps[e[-1]].append(e[:-1])
+    return list(map(tuple, steps))
+
+
 def _step_tree(chains: Iterable[Iterable[tuple[tuple[int, ...], ...]]]) -> dict:
     """Step lists merged on their common prefixes: each node maps the
     (k-1)-sets constraining the next vertex to the node after it."""
@@ -134,13 +146,8 @@ def _extend(node: dict, links: dict[int, int], phi: list[int],
 def _compile(f: Hypergraph) -> tuple[dict[int, int], dict]:
     """Each vertex's position in _vertex_order, and F's step tree."""
     pos = {v: i for i, v in enumerate(_vertex_order(f))}
-    # an F-edge constrains the image of its last vertex in the order,
-    # through the positions of its other k-1 vertices
-    steps: list[list[tuple[int, ...]]] = [[] for _ in pos]
-    for e in f.edges:
-        ps = sorted(pos[v] for v in e)
-        steps[ps[-1]].append(tuple(ps[:-1]))
-    return pos, _step_tree([map(tuple, steps)])
+    edges = (tuple(sorted(pos[v] for v in e)) for e in f.edges)
+    return pos, _step_tree([_step_lists(edges, f.n)])
 
 
 def contains(h: Hypergraph, f: Hypergraph) -> Embedding | None:

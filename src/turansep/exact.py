@@ -9,8 +9,10 @@ its isolated vertices, found as the orbit of its edge set under the
 adjacent transpositions (a complete F has one), are mapped onto every
 subset of [n] of its size.  Such a copy spans its subset, so each
 (subset, labeling) pair gives a distinct copy and each copy is found
-once.  The isolated vertices still need room: the index is empty when
-v(F) > n.
+once.  The isolated vertices still need room, so an F with v(F) > n has
+no copy: the search and the greedy both answer it with the complete
+k-graph on [n], C(n, k) edges, before any index or shuffle, and the
+search reports 0 nodes and closed, whatever the budget.
 
 The alive set of a node is a bitmask of the later candidates that can
 still be added without closing a copy of F.  Including candidate j can
@@ -41,7 +43,9 @@ Exclude chains are collapsed into a choose-next-included-edge loop (see
 below), and each pass of that loop is a node for these rules, its alive
 set being the candidates the loop has yet to decide.  Every cut is
 strict, so the search tree is a subtree of the one without packing, in
-the same order, and the witness is unchanged.
+the same order, and the witness is unchanged.  The incumbent is kept as
+its inclusion mask; the witness edges are the mask's set bits, read in
+candidate order.
 
 One further layer does not change returned values: at the root, only the
 first branch is explored.  Any optimum relabels, by a vertex permutation,
@@ -87,10 +91,12 @@ adds a candidate e iff no copy of F runs through e.  Its anchors come
 from the same enumeration, run on F itself: the labelings that contain
 the edge (0..k-1), one per class under relabelings of the rest vertices
 k..v(F)-1, a class being an orbit under the transpositions (i, i+1) with
-i >= k.  Each anchor maps (0..k-1) onto e and extends one rest vertex
-at a time through embed._extend, the copy search that embed.contains
-runs too: the candidates for a rest vertex are the unused vertices
-ANDed with the links of its edges' other k-1 vertices.
+i >= k; a class is kept as the first of its members that the
+enumeration lists.  Each anchor maps (0..k-1) onto e and extends one
+rest vertex at a time through embed._extend, the copy search that
+embed.contains runs too, on step lists that embed._step_lists builds for
+both: the candidates for a rest vertex are the unused vertices ANDed
+with the links of its edges' other k-1 vertices.
 """
 
 from __future__ import annotations
@@ -102,7 +108,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 
-from .embed import _extend, _step_tree
+from .embed import _extend, _step_lists, _step_tree
 from .errors import ParameterError
 from .hypergraph import Hypergraph, _incidence_rows, drop_isolated
 
@@ -173,11 +179,12 @@ def _labelings(f: Hypergraph) -> list[tuple[int, ...]]:
 
 def _anchors(f: Hypergraph) -> list[list[tuple[tuple[int, ...], ...]]]:
     """F's labelings that contain the edge (0..k-1), one per class under
-    relabelings of the rest vertices k..v(F)-1.
+    relabelings of the rest vertices k..v(F)-1: the first member of each
+    class that _labelings lists.
 
-    Each is given, for every rest vertex w in turn, as the (k-1)-sets of
-    the edges whose last vertex is w.  Every edge but (0..k-1) has a rest
-    vertex, so these sets cover all of them.
+    Each is given as its embed._step_lists for the rest vertices k..v(F)-1
+    in turn.  Every edge but (0..k-1) has a rest vertex, so these steps
+    cover all of them.
     """
     k = f.k
     pos, swaps = _swap_tables(f.n, k)
@@ -189,14 +196,8 @@ def _anchors(f: Hypergraph) -> list[list[tuple[tuple[int, ...], ...]]]:
         # positions ascend, and position 0 is the edge (0..k-1)
         if edges[0] != 0 or edges in seen:
             continue
-        same_class = _orbit(edges, rest)
-        seen.update(same_class)
-        # the class member whose edges end earliest meets its constraints
-        # at the lowest rest vertices, so the check prunes soonest
-        best = min(same_class,
-                   key=lambda es: sorted(subsets[p][-1] for p in es))
-        anchors.append([tuple(subsets[p][:-1] for p in best if subsets[p][-1] == w)
-                        for w in range(k, f.n)])
+        seen.update(_orbit(edges, rest))
+        anchors.append(_step_lists([subsets[p] for p in edges], f.n)[k:])
     return anchors
 
 
@@ -296,22 +297,22 @@ def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
     """The branch-and-bound search on n vertices, given below >= ex(n-1, F).
 
     It stops at budget + 1 nodes or once the incumbent meets the KNS cap
-    that below gives on ex(n, F).  C(n-1, k) is always a valid below.
+    that below gives on ex(n, F).  C(n-1, k) is always a valid below.  An
+    F that does not fit on n vertices, v(F) > n, is settled without a
+    search: the complete k-graph, 0 nodes, closed.
     """
     k = f.k
     cap = _kns(n, k, below)
-    if f.edge_count == 0 and f.n > n:
+    if f.n > n:
         full = tuple(combinations(range(n), k))
-        return TuranResult(len(full), Hypergraph(k, n, full), 0, True, cap,
-                           len(full) >= cap)
+        return TuranResult(len(full), Hypergraph(k, n, full), 0, True, cap, True)
 
     engine = CopyIndex(n, f)
     cand = engine.cand
     through = engine.through
     by_vertex = _incidence_rows(n, cand)
-    chosen: list[int] = []
     best = 0
-    witness: tuple[int, ...] = ()
+    witness = 0  # the incumbent's inclusion mask
     nodes = 0
     exhausted = True
     closed = False
@@ -327,7 +328,7 @@ def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
             raise _Stop
         if count > best:
             best = count
-            witness = tuple(chosen)
+            witness = inc
         if best >= cap:
             # the incumbent is optimal, and the first at its value
             closed = True
@@ -376,9 +377,7 @@ def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
             left -= 1
             j = low.bit_length() - 1
             inc2 = inc | low
-            chosen.append(j)
             rec(rest & ~_kill(through[j], inc2), count + 1, inc2, live)
-            chosen.pop()
             # excluding j lowers the degrees of its k vertices alone
             around = cand[j]
 
@@ -393,12 +392,8 @@ def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
             # sound cut: some optimum (and the lex-min one) contains cand[j0]
             low = root_alive & -root_alive
             j0 = low.bit_length() - 1
-            chosen.append(j0)
-            best = 1
-            witness = (j0,)
             alive = (root_alive ^ low) & ~_kill(through[j0], low)
             rec(alive, 1, low, engine.copies)
-            chosen.pop()
         else:
             rec(root_alive, 0, 0, engine.copies)
     except _Stop:
@@ -408,7 +403,8 @@ def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
         # rec refers to itself through its closure; without this the cycle
         # keeps the index alive until a full collection
         del rec
-    edges = tuple(cand[j] for j in witness)
+    # the witness's bits, lowest first, beside the candidates they index
+    edges = tuple(e for e, bit in zip(cand, reversed(f"{witness:b}")) if bit == "1")
     return TuranResult(best, Hypergraph(k, n, edges), nodes, exhausted, cap, closed)
 
 
@@ -419,17 +415,19 @@ def random_maximal_free(n: int, f: Hypergraph, seed: int) -> Hypergraph:
     e; the graph is F-free, so that is exactly whether it stays F-free.
     Each anchor maps (0..k-1) onto e in order, as the bits of e's vertices,
     and extends vertex by vertex, taking the candidates for a rest vertex
-    from the links of the graph.
+    from the links of the graph.  An F that does not fit on n vertices,
+    v(F) > n, gets the complete k-graph, whatever the seed.
     """
-    if f.edge_count == 0 and f.n <= n:
-        raise ParameterError("F without edges is contained in every graph")
     k = f.k
     cand = list(combinations(range(n), k))
+    if f.n > n:
+        return Hypergraph(k, n, tuple(cand))
+    if f.edge_count == 0:
+        raise ParameterError("F without edges is contained in every graph")
     # a shuffle permutes positions only, so this is the order in which the
     # seed shuffles the candidate indices
     random.Random(seed).shuffle(cand)
-    anchors = _anchors(f) if f.n <= n else []
-    tree = _step_tree(anchors)
+    tree = _step_tree(_anchors(f))
     links: dict[int, int] = {}
     get = links.get
 
@@ -438,7 +436,7 @@ def random_maximal_free(n: int, f: Hypergraph, seed: int) -> Hypergraph:
     for e in cand:
         bits = [1 << v for v in e]
         m = sum(bits)
-        if anchors and _extend(tree, links, bits, full ^ m):
+        if _extend(tree, links, bits, full ^ m):
             continue
         edges.append(e)
         for b in bits:

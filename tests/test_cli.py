@@ -134,14 +134,27 @@ def test_turan_budget_cut_s6_n12(capsys):
 
 
 def test_turan_search_deeper_than_recursion_limit(capsys):
-    # K:21,3 does not fit on 20 vertices, so the search includes all 1140
-    # candidates, one recursion level each: deeper than the default limit
+    # every 3-graph on 20 vertices but the complete one is K:20,3-free, so
+    # the include-first dive takes 1139 of the 1140 candidates, one
+    # recursion level each: deeper than the default limit
     limit = sys.getrecursionlimit()
-    code, out = invoke(capsys, "turan", "20", "K:21,3", "--json")
+    code, out = invoke(capsys, "turan", "20", "K:20,3", "--json")
     assert code == 0
     payload = json.loads(out)
-    assert (payload["value"], payload["nodes_explored"]) == (1140, 1140)
+    assert payload["exhausted"] is True
+    assert (payload["value"], payload["nodes_explored"]) == (1139, 1139)
     assert sys.getrecursionlimit() == limit
+
+
+def test_turan_target_that_does_not_fit_needs_no_search(capsys):
+    # K:11,3 does not fit on 10 vertices: ex = C(10, 3) with no search, so
+    # no budget cuts it
+    code, out = invoke(capsys, "turan", "10", "K:11,3", "--budget", "5", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["value"], payload["nodes_explored"]) == (120, 0)
+    assert payload["exhausted"] is True and payload["cap"]["closed"] is True
+    assert len(payload["witness_edges"]) == 120
 
 
 def test_separate_command(capsys):

@@ -155,6 +155,14 @@ def test_bad_budget():
         turan_number(5, K(4, 3), budget=0)
 
 
+def test_greedy_target_that_does_not_fit():
+    # no copy of a target on 5 vertices fits on 4, whatever the seed
+    f = from_edges(3, 5, [(0, 1, 2), (1, 2, 3)])
+    for seed in range(5):
+        assert random_maximal_free(4, f, seed) == K(4, 3)
+    assert random_maximal_free(7, K(8, 3), 3) == K(7, 3)
+
+
 def test_random_maximal_free_properties():
     k4 = K(4, 3)
     for seed in (0, 1, 2):
@@ -421,8 +429,10 @@ def _ladder_cases(draw):
 @example((from_edges(3, 5, list(combinations(range(4), 3))), 6, 5))
 @example((from_edges(3, 5, list(combinations(range(4), 3))), 4, None))
 @example((from_edges(3, 4, list(combinations(range(4), 3))), 6, 2))
-# an edgeless F that does not fit, settled without a search
+# an F that does not fit, edgeless or not, settled without a search
 @example((from_edges(3, 5, []), 4, None))
+@example((from_edges(3, 5, [(0, 1, 2), (1, 2, 3)]), 4, 1))
+@example((from_edges(3, 5, [(0, 1, 2), (1, 2, 3)]), 4, None))
 def test_ladder_is_sound(case):
     # every level the ladder searched agrees with the oracle, and the cap
     # bounds ex(n, F) from above, for F with isolated vertices too
