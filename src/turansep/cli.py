@@ -8,7 +8,9 @@ emits, if any; ``run`` writes the envelope every report carries
 maps the verdict to the exit code: True 0 (success / property holds),
 False 1 (property violated, with a witness in the report), None 3
 (search budget exhausted).  Invalid input exits 2, and so does an input
-too large to fit in memory (``error: out of memory ...``).
+too large to fit in memory (``error: out of memory ...``).  A reader
+that closes stdout before the whole report is written leaves the
+verdict's exit code and nothing on stderr.
 
 Family arguments accept ``K:l,k`` (complete), ``K-:l,k`` (complete minus
 an edge), ``D:t,k`` (daisy), ``S6``, or a path to a hypergraph file.
@@ -62,45 +64,37 @@ def parse_family_token(token: str) -> Hypergraph:
     return parse(text)
 
 
-def _flatten(payload, prefix="", out=None):
-    if out is None:
-        out = []
+def _flatten(payload, prefix=""):
     for key in sorted(payload):
         value = payload[key]
         name = f"{prefix}{key}"
         if isinstance(value, dict):
-            _flatten(value, f"{name}.", out)
+            yield from _flatten(value, f"{name}.")
         else:
             if isinstance(value, (list, tuple)):
                 value = json.dumps(value)
-            out.append(f"{name}: {value}")
-    return out
+            yield f"{name}: {value}"
 
 
 def emit_report(args, payload: dict, graph: Hypergraph | None = None) -> None:
-    if graph is not None:
-        text = serialize(graph)
-        if args.out:
-            try:
-                Path(args.out).write_text(text)
-            except OSError as exc:
-                raise ParameterError(f"cannot write {args.out!r}: {exc}") from None
-        if args.json:
-            body = dict(payload)
-            if not args.out:
-                body["graph"] = text
-            print(json.dumps(body, sort_keys=True, indent=2, default=str))
-        elif args.out:
-            print("\n".join(_flatten(payload)))
-        else:
-            for line in _flatten(payload):
-                print(f"# {line}")
-            sys.stdout.write(text)
-        return
+    # the graph goes into the report unless --out takes it
+    text = "" if graph is None else serialize(graph)
+    if text and args.out:
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write {args.out!r}: {exc}") from None
+        text = ""
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2, default=str))
+        body = {**payload, "graph": text} if text else payload
+        report = json.dumps(body, sort_keys=True, indent=2, default=str) + "\n"
     else:
-        print("\n".join(_flatten(payload)))
+        prefix = "# " if text else ""
+        report = "".join(f"{prefix}{line}\n" for line in _flatten(payload)) + text
+    # one write, so a reader that closes stdout early meets one point of
+    # failure, which run maps to the verdict's exit code
+    sys.stdout.write(report)
+    sys.stdout.flush()
 
 
 def _seed(args) -> int:
@@ -204,11 +198,7 @@ def cmd_separate(args):
     fields.update(condition1=_condition1_fields(report.condition1),
                   condition2=_condition2_fields(report.condition2),
                   verdict=report.verdict)
-    if report.verdict == "separated":
-        return fields, True, None
-    # condition 2 failed, so the verdict is condition 1's: False, or None
-    # when the budget cut its search
-    return fields, report.condition1.holds, None
+    return fields, report.condition2.holds or report.condition1.holds, None
 
 
 def cmd_construct(args):
@@ -396,7 +386,7 @@ def run(argv: list[str] | None = None) -> int:
         payload = {"command": args.subcommand, "version": __version__, **fields}
         if args.timing:
             payload["timing_seconds"] = round(time.monotonic() - start, 3)
-        # writes --out before it prints, so a failed write prints no report
+        # writes --out before the report, so a failed write leaves no report
         emit_report(args, payload, graph)
     except (ParameterError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -405,6 +395,12 @@ def run(argv: list[str] | None = None) -> int:
         print("error: out of memory: the input is too large for this command",
               file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early: the verdict stands, and fd 1 goes
+        # to devnull so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return {True: 0, False: 1, None: 3}[verdict]
 
 

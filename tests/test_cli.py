@@ -371,6 +371,9 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
     k4_free.write_text(serialize(from_edges(3, 10, [(0, 1, 2)])))
     edgeless = tmp_path / "edgeless.hg"
     edgeless.write_text(serialize(from_edges(3, 4, [])))
+    # a single edge on k vertices: too few vertices for condition 1
+    triangle = tmp_path / "triangle.hg"
+    triangle.write_text("3 3\n0 1 2\n")
     for argv in (
         ["build", "K:3,3"],
         ["turan", "5", "missing.hg"],
@@ -392,16 +395,24 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
         # ex(v(F), F') has no value when F' has no edges
         ["condition1", "D:1,3", str(edgeless)],
         ["separate", "D:1,3", str(edgeless)],
+        # ex(v(F), F') needs v(F) > k
+        ["condition1", str(triangle), str(triangle)],
+        ["separate", str(triangle), str(triangle)],
     ):
         assert run(argv) == 2, argv
         out, err = capsys.readouterr()
         assert err.startswith("error: ") and err.count("\n") == 1, argv
         assert out == "", argv
+        if argv[1] == str(triangle):
+            assert err == "error: need v(F) > k, got v(F)=3, k=3\n", argv
     assert sorted(f.name for f in tmp_path.iterdir()) == [
-        "binary.hg", "edgeless.hg", "k4_free.hg"]
+        "binary.hg", "edgeless.hg", "k4_free.hg", "triangle.hg"]
     # condition 2, unlike condition 1, holds for it vacuously
     code, out = invoke(capsys, "condition2", "D:1,3", str(edgeless), "--json")
     assert code == 0 and json.loads(out)["condition2"]["holds"] is True
+    # condition 2 reads no Turan number, so the triangle is valid input to it
+    code, out = invoke(capsys, "condition2", str(triangle), str(triangle))
+    assert code == 1 and "condition2.holds: False" in out
     run(["build", "S6", "--out", str(tmp_path)])
     assert capsys.readouterr().err.startswith(f"error: cannot write {str(tmp_path)!r}: ")
 
@@ -491,6 +502,23 @@ def test_module_form_exit_codes(tmp_path):
     proc = module("densopt", "--out", "x.hg")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_closed_stdout_keeps_exit_code(fmt):
+    # a reader that takes 10 bytes and closes the pipe: the report (about
+    # 90 KB) overflows the 64 KB pipe buffer, so writing it meets the
+    # closed pipe, which must leave the verdict's exit code and no traceback
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "turansep.cli", "construct", "s6star", "60", *fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env)
+    assert len(os.read(proc.stdout.fileno(), 10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 def test_console_script_exit_codes(tmp_path, capsys, monkeypatch):
