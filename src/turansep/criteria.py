@@ -7,8 +7,10 @@ densities when either condition holds:
   (2)  for every k-partition V(F) = V_1 ∪ ... ∪ V_k in which every edge of
        F meets V_1, some j in {2..k} has F' ⊆ F - V_j.
 
-Condition (1) delegates to the exact Turán search and reports "unknown"
-when the search was not exhausted.  Condition (2) enumerates vertex
+Condition (1) delegates to the exact Turán search.  A search cut by the
+budget still bounds ex(m, F') from both sides, by its KNS cap above and
+its witness below, and condition (1) reports "unknown" only when the
+threshold lies between the two.  Condition (2) enumerates vertex
 assignments as base-k counters (vertex 0 the most significant digit),
 keeping each part as a vertex mask.  An edge is fully assigned once its
 last vertex is, so a prefix is cut as soon as such an edge's vertex mask
@@ -55,7 +57,7 @@ class Condition1Result:
     ex_exhausted: bool
     floor_product: int
     e_f: int
-    holds: bool | None  # None when the Turán oracle was not exhausted
+    holds: bool | None  # None when the search's bounds do not decide it
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,12 @@ def check_condition1(
     holds: bool | None = None
     if result.exhausted:
         holds = result.value + fp < f.edge_count
+    elif result.cap + fp < f.edge_count:
+        # the cap bounds ex(m, F') from above
+        holds = True
+    elif result.value + fp >= f.edge_count:
+        # the witness bounds it from below
+        holds = False
     return Condition1Result(
         m=m,
         ex_value=result.value,

@@ -47,11 +47,20 @@ the same order, and the witness is unchanged.  The incumbent is kept as
 its inclusion mask; the witness edges are the mask's set bits, read in
 candidate order.
 
-One further layer does not change returned values: at the root, only the
-first branch is explored.  Any optimum relabels, by a vertex permutation,
-to one containing the first candidate edge, and that relabeling also
-preserves the lexicographically smallest optimal edge list, which is the
-witness tie-break.
+Two further layers do not change returned values, as both keep the
+lexicographically smallest optimal edge list W, the witness tie-break.
+At the root, only the first branch is explored: W contains the first
+candidate e0 = (0..k-1), as a vertex permutation taking W's first edge
+to e0 maps W to an optimum that is lex-smaller unless that edge is e0.
+One level down, only the orbit-least second edges are branched on: every
+permutation that fixes e0 as a set (S_k x S_{n-k}) maps W to an optimum
+that contains e0, which is lex-smaller if it moves W's second edge to a
+smaller one.  So W's second edge is the least in its orbit under that
+group, and an orbit is fixed by how many vertices a = k-1..0 the edge
+shares with e0: its least edge is (0..a-1) followed by (k..2k-a-1).  At
+most k candidates stay, for k = 3 the edges 013, 034 and 345; the others
+are excluded without a child.  The cut is strict like the packing cut,
+so values and witnesses are unchanged and node counts can only fall.
 
 The search stops early at a cap from the averaging bound of Katona,
 Nemetz and Simonovits (1964): deleting a vertex from an F-free graph on m
@@ -300,6 +309,13 @@ def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
     that below gives on ex(n, F).  C(n-1, k) is always a valid below.  An
     F that does not fit on n vertices, v(F) > n, is settled without a
     search: the complete k-graph, 0 nodes, closed.
+
+    The root includes cand[0] = (0..k-1) when any candidate is alive (an F
+    with one edge kills them all), and its child branches only on
+    the second edges in second, the least edge of each orbit under the
+    permutations fixing (0..k-1) as a set.  Any relabeling in that group
+    keeps an optimum containing (0..k-1), so a lex-min optimum whose
+    second edge is not orbit-least would map to a lex-smaller one.
     """
     k = f.k
     cap = _kns(n, k, below)
@@ -311,6 +327,11 @@ def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
     cand = engine.cand
     through = engine.through
     by_vertex = _incidence_rows(n, cand)
+    # the least edge of each orbit under the permutations that fix
+    # cand[0] = (0..k-1) as a set: a of its vertices, then k-a outside it
+    second = 0
+    for a in range(max(2 * k - n, 0), k):
+        second |= 1 << cand.index((*range(a), *range(k, 2 * k - a)))
     best = 0
     witness = 0  # the incumbent's inclusion mask
     nodes = 0
@@ -376,8 +397,11 @@ def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
             rest ^= low
             left -= 1
             j = low.bit_length() - 1
-            inc2 = inc | low
-            rec(rest & ~_kill(through[j], inc2), count + 1, inc2, live)
+            # beside the root edge alone, only an orbit-least second edge
+            # is branched on; any other is excluded here
+            if inc != 1 or low & second:
+                inc2 = inc | low
+                rec(rest & ~_kill(through[j], inc2), count + 1, inc2, live)
             # excluding j lowers the degrees of its k vertices alone
             around = cand[j]
 

@@ -116,9 +116,10 @@ def test_criterion_3_exact_search_oracle_equivalence():
     values = {n: turan_number(n, K(4, 3)) for n in (4, 5, 6, 7)}
     elapsed_n7 = time.monotonic() - start
     assert all(v.exhausted for v in values.values())
-    # 750,253 nodes before the packing bound and 21,754 before the
-    # vertex-deletion cut, with the same lex-min witness
-    assert (values[7].value, values[7].nodes_explored) == (23, 9_409)
+    # 750,253 nodes before the packing bound, 21,754 before the
+    # vertex-deletion cut and 9,409 before the second-edge rule, with the
+    # same lex-min witness
+    assert (values[7].value, values[7].nodes_explored) == (23, 7_262)
     lex_min = ("012 013 014 015 023 024 025 034 035 046 056 126 136 145 146 "
                "156 236 245 246 256 345 346 356")
     assert values[7].witness.edges == tuple(

@@ -168,10 +168,18 @@ def test_separate_command(capsys):
     assert code == 0 and json.loads(out)["condition1"]["holds"] == "unknown"
     # condition 2 fails for K5-minus, so the cut condition 1 leaves the
     # verdict undecided: the budget ran out, not the property
-    code, out = invoke(capsys, "separate", "K-:5,3", "K:4,3", "--budget", "5", "--json")
+    code, out = invoke(capsys, "separate", "K-:5,3", "K:4,3", "--budget", "3", "--json")
     payload = json.loads(out)
     assert code == 3 and payload["verdict"] == "not-established"
     assert payload["condition1"]["holds"] == "unknown"
+    assert payload["condition2"]["holds"] is False
+    # a cut search whose witness already reaches the threshold decides
+    # condition 1: ex(5, K4) >= 5, and 5 + 4 >= 9 = e(K5-minus)
+    code, out = invoke(capsys, "separate", "K-:5,3", "K:4,3", "--budget", "5", "--json")
+    payload = json.loads(out)
+    assert code == 1 and payload["verdict"] == "not-established"
+    assert payload["condition1"]["ex_exhausted"] is False
+    assert (payload["condition1"]["ex_value"], payload["condition1"]["holds"]) == (5, False)
     assert payload["condition2"]["holds"] is False
     code, out = invoke(capsys, "separate", "K-:5,3", "K:4,3", "--json")
     assert code == 1 and json.loads(out)["condition1"]["holds"] is False
@@ -221,6 +229,21 @@ def test_condition1_command(capsys):
                        "--json")
     assert code == 3
     assert json.loads(out)["condition1"]["holds"] == "unknown"
+
+
+def test_condition1_holds_from_the_cap_of_a_cut_search(capsys):
+    # the ladder closes ex(8, K4) = 36, so the cap on ex(9, K4) is
+    # floor(9 * 36 / 6) = 54, and 54 + 27 < 84 = e(K:9,3) settles condition
+    # 1 although the search on 9 vertices runs out of its budget
+    start = time.monotonic()
+    code, out = invoke(capsys, "condition1", "K:9,3", "K:4,3", "--budget", "150000",
+                       "--json")
+    elapsed = time.monotonic() - start
+    report = json.loads(out)["condition1"]
+    assert code == 0 and report["holds"] is True
+    assert report["ex_exhausted"] is False
+    assert (report["floor_product"], report["e_f"]) == (27, 84)
+    assert elapsed < 30
 
 
 def test_construct_six_part(tmp_path, capsys):

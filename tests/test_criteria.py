@@ -118,6 +118,26 @@ def test_condition1_unknown_under_budget():
     assert r.holds is None and not r.ex_exhausted
 
 
+def test_condition1_bounds_of_a_cut_search_agree_with_the_full_search():
+    # a cut search decides condition 1 only by its cap (holds) or its
+    # witness (fails), so its verdict is the full search's or unknown
+    pairs = [(K(5, 3), K(4, 3)), (Km(5, 3), K(4, 3)), (K(5, 3), Km(4, 3)),
+             (Km(5, 3), Km(4, 3)), (K(6, 3), K(4, 3)), (K(6, 3), Km(5, 3)),
+             (Km(6, 3), K(5, 3)), (D(3, 3), D(2, 3)), (K(5, 4), K(5, 4)),
+             (Km(6, 4), K(5, 4)), (K(6, 4), Km(5, 4))]
+    decided = set()
+    for f, fs in pairs:
+        full = check_condition1(f, fs)
+        assert full.ex_exhausted and full.holds is not None
+        for budget in range(1, 41):
+            r = check_condition1(f, fs, budget=budget)
+            assert r.holds in (None, full.holds), (f, fs, budget)
+            if not r.ex_exhausted:
+                decided.add(r.holds)
+    # the cap and the witness each decide some cut search
+    assert decided == {None, True, False}
+
+
 def test_condition1_requires_subgraph():
     with pytest.raises(ParameterError):
         check_condition1(D(2, 3), K(4, 3))
