@@ -10,15 +10,17 @@ densities when either condition holds:
 Condition (1) delegates to the exact Turán search.  A search cut by the
 budget still bounds ex(m, F') from both sides, by its KNS cap above and
 its witness below, and condition (1) reports "unknown" only when the
-threshold lies between the two.  Condition (2) enumerates vertex
-assignments as base-k counters (vertex 0 the most significant digit),
-keeping each part as a vertex mask.  An edge is fully assigned once its
-last vertex is, so a prefix is cut as soon as such an edge's vertex mask
-misses V_1.  Parts may be empty, and a partition with an empty V_j,
-j >= 2, passes automatically since F - ∅ = F ⊇ F'.  Parts 2..k play
-symmetric roles, so only assignments whose non-first labels appear in
-increasing first-occurrence order are enumerated; relabeling parts 2..k
-keeps a violation, so the first one found is the first in base-k order.
+threshold lies between the two.  The report gives the upper bound that
+decides it as ex_upper: the value of an exhausted search, else the cap.
+Condition (2) enumerates vertex assignments as base-k counters (vertex 0
+the most significant digit), keeping each part as a vertex mask.  An
+edge is fully assigned once its last vertex is, so a prefix is cut as
+soon as such an edge's vertex mask misses V_1.  Parts may be empty, and
+a partition with an empty V_j, j >= 2, passes automatically since
+F - ∅ = F ⊇ F'.  Parts 2..k play symmetric roles, so only assignments
+whose non-first labels appear in increasing first-occurrence order are
+enumerated; relabeling parts 2..k keeps a violation, so the first one
+found is the first in base-k order.
 F's twins compose with that: vertices u < v are twins when the
 transposition (u v) is an automorphism of F, and swapping the labels of
 twins keeps a violation too.  The first violation in base-k order is
@@ -55,6 +57,9 @@ class Condition1Result:
     m: int
     ex_value: int
     ex_exhausted: bool
+    # the upper bound on ex(m, F') that the search holds: its value when
+    # it exhausts, else the KNS cap
+    ex_upper: int
     floor_product: int
     e_f: int
     holds: bool | None  # None when the search's bounds do not decide it
@@ -115,19 +120,18 @@ def check_condition1(
         raise ParameterError("F' has no edges, so ex(v(F), F') is not defined")
     result = turan_number(m, f_sub, budget=budget)
     fp = floor_product(m, k)
+    upper = result.value if result.exhausted else result.cap
     holds: bool | None = None
-    if result.exhausted:
-        holds = result.value + fp < f.edge_count
-    elif result.cap + fp < f.edge_count:
-        # the cap bounds ex(m, F') from above
+    if upper + fp < f.edge_count:
         holds = True
     elif result.value + fp >= f.edge_count:
-        # the witness bounds it from below
+        # the witness bounds ex(m, F') from below
         holds = False
     return Condition1Result(
         m=m,
         ex_value=result.value,
         ex_exhausted=result.exhausted,
+        ex_upper=upper,
         floor_product=fp,
         e_f=f.edge_count,
         holds=holds,

@@ -251,7 +251,9 @@ def density(h: Hypergraph) -> Fraction:
 def serialize(h: Hypergraph) -> str:
     """Deterministic text form; equal hypergraphs serialize byte-identically."""
     lines = [f"{h.k} {h.n}"]
-    lines.extend(" ".join(str(v) for v in e) for e in h.edges)
+    # one format for every edge: "%d %d %d" for k = 3
+    row = " ".join(["%d"] * h.k)
+    lines.extend(row % e for e in h.edges)
     return "\n".join(lines) + "\n"
 
 

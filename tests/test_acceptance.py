@@ -117,9 +117,9 @@ def test_criterion_3_exact_search_oracle_equivalence():
     elapsed_n7 = time.monotonic() - start
     assert all(v.exhausted for v in values.values())
     # 750,253 nodes before the packing bound, 21,754 before the
-    # vertex-deletion cut and 9,409 before the second-edge rule, with the
-    # same lex-min witness
-    assert (values[7].value, values[7].nodes_explored) == (23, 7_262)
+    # vertex-deletion cut, 9,409 before the second-edge rule and 7,262
+    # before the untouched-vertex rule, with the same lex-min witness
+    assert (values[7].value, values[7].nodes_explored) == (23, 5_573)
     lex_min = ("012 013 014 015 023 024 025 034 035 046 056 126 136 145 146 "
                "156 236 245 246 256 345 346 356")
     assert values[7].witness.edges == tuple(

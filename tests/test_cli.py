@@ -242,6 +242,7 @@ def test_condition1_holds_from_the_cap_of_a_cut_search(capsys):
     report = json.loads(out)["condition1"]
     assert code == 0 and report["holds"] is True
     assert report["ex_exhausted"] is False
+    assert report["ex_upper"] == 54
     assert (report["floor_product"], report["e_f"]) == (27, 84)
     assert elapsed < 30
 

@@ -120,7 +120,8 @@ def test_condition1_unknown_under_budget():
 
 def test_condition1_bounds_of_a_cut_search_agree_with_the_full_search():
     # a cut search decides condition 1 only by its cap (holds) or its
-    # witness (fails), so its verdict is the full search's or unknown
+    # witness (fails), so its verdict is the full search's or unknown;
+    # ex_value and ex_upper bracket the exact ex(m, F')
     pairs = [(K(5, 3), K(4, 3)), (Km(5, 3), K(4, 3)), (K(5, 3), Km(4, 3)),
              (Km(5, 3), Km(4, 3)), (K(6, 3), K(4, 3)), (K(6, 3), Km(5, 3)),
              (Km(6, 3), K(5, 3)), (D(3, 3), D(2, 3)), (K(5, 4), K(5, 4)),
@@ -129,9 +130,11 @@ def test_condition1_bounds_of_a_cut_search_agree_with_the_full_search():
     for f, fs in pairs:
         full = check_condition1(f, fs)
         assert full.ex_exhausted and full.holds is not None
+        assert full.ex_upper == full.ex_value
         for budget in range(1, 41):
             r = check_condition1(f, fs, budget=budget)
             assert r.holds in (None, full.holds), (f, fs, budget)
+            assert r.ex_value <= full.ex_value <= r.ex_upper, (f, fs, budget)
             if not r.ex_exhausted:
                 decided.add(r.holds)
     # the cap and the witness each decide some cut search

@@ -257,48 +257,61 @@ def test_random_maximal_free_digests_pinned(token, seed):
 
 def test_search_tree_pinned():
     # node counts pin the search tree itself, not only its answer;
-    # ex(7, K4) = 23 with 7,262 nodes is pinned in acceptance criterion 3
+    # ex(7, K4) = 23 with 5,573 nodes is pinned in acceptance criterion 3
     # (its cap, 24, does not close it; 9,409 nodes before the second-edge
-    # rule).  Before the packing bound the first two rows took 151,138 and
-    # 497,310 nodes, before the KNS cap 23,984 and 25,608, and before the
-    # vertex-deletion cut 35 and 22,405; the lex-min witnesses are frozen
-    # from those searches, and the digests (SHA-256 of the serialized
-    # witness) from the searches without the vertex-deletion cut.  The
-    # second-edge rule left every row's node count as it was but the last:
-    # ex(7, K4-) took 1,970 nodes before it, and its witness and digest are
-    # frozen from that search.  Each row: the ladder's values at
+    # rule, 7,262 before the untouched-vertex rule).  Before the packing
+    # bound the first two rows took 151,138 and 497,310 nodes, before the
+    # KNS cap 23,984 and 25,608, and before the vertex-deletion cut 35 and
+    # 22,405; the lex-min witnesses are frozen from those searches, and
+    # the digests (SHA-256 of the serialized witness) from the searches
+    # without the vertex-deletion cut.  The second-edge rule left the first
+    # three rows' node counts as they were; ex(7, K4-) took 1,970 nodes
+    # before it and 799 before the untouched-vertex rule, and its witness
+    # and digest are frozen from the 1,970-node search.  The
+    # untouched-vertex rule also left the first three rows' counts, but cut
+    # the ladder of the first from 217 nodes to 74 at level 8.  ex(8, K4-)
+    # took 351,395 nodes with the root rule alone and 125,566 before the
+    # untouched-vertex rule; its witness and digest are frozen from the
+    # 351,395-node search.  Each row: the ladder's values and nodes at
     # v(F)..n-1, and the cap at n, which closes the search when it meets
     # the value
     for n, spec, value, nodes, ladder, cap, witness, digest, limit in (
-        (9, FamilySpec.daisy(2, 3), 12, 35, (1, 2, 4, 7, 8), 12,
+        (9, FamilySpec.daisy(2, 3), 12, 35, ((1, 1), (2, 2), (4, 4), (7, 7), (8, 74)), 12,
          "012 034 056 078 135 147 168 238 246 257 367 458",
          "aa22de7d584bf0f7cdf50fe522aa1b95c77bff406babdae8104a6dde3f1d824b", None),
-        (7, FamilySpec.complete_minus(5, 3), 28, 17_944, (8, 16), 28,
+        (7, FamilySpec.complete_minus(5, 3), 28, 17_944, ((8, 8), (16, 57)), 28,
          "012 013 014 015 023 024 026 035 036 045 046 056 123 125 126 134 "
          "136 145 146 156 234 235 245 246 256 345 346 356",
          "367c09e5d71dff3439c439bd2d66006122fabe0621e777a6277ef5e59aaababb", 5.0),
         # the cap floor(8 * 23 / 5) = 36 closes ex(8, K4), which the search
         # alone could not exhaust in 300,000 nodes; before the vertex-deletion
         # cut it took 433,472 nodes
-        (8, FamilySpec.complete(4, 3), 36, 148_073, (3, 7, 14, 23), 36,
+        (8, FamilySpec.complete(4, 3), 36, 148_073,
+         ((3, 3), (7, 8), (14, 33), (23, 5_573)), 36,
          "012 013 014 015 016 023 024 025 026 034 035 036 047 057 067 127 "
          "137 145 146 147 156 157 167 237 245 246 247 256 257 267 345 346 "
          "347 356 357 367",
          "90d2824ee630e664d45edd2c5e770662e33263a478b5162d5142229644342196", 15.0),
         # the cap floor(7 * 10 / 4) = 17 does not close ex(7, K4-)
-        (7, FamilySpec.complete_minus(4, 3), 15, 799, (2, 5, 10), 17,
+        (7, FamilySpec.complete_minus(4, 3), 15, 303, ((2, 2), (5, 8), (10, 32)), 17,
          "012 013 014 025 035 046 056 126 136 145 156 245 246 345 346",
          "9783ac39d0b1dcadb253863b07c99232b560805ba6fdc331948a1b6f7fa12f71", None),
+        # the cap floor(8 * 15 / 5) = 24 does not close ex(8, K4-) = 22
+        (8, FamilySpec.complete_minus(4, 3), 22, 12_292,
+         ((2, 2), (5, 8), (10, 32), (15, 303)), 24,
+         "012 013 014 015 026 027 036 047 137 146 156 157 234 237 246 256 "
+         "257 345 356 367 457 467",
+         "519e6977a3b76e192dd980f1c0398e6cb6037ca7dbe3e547f452770857bdff87", 5.0),
     ):
         f = build_named(spec)
         start = time.perf_counter()
         res = turan_number(n, f)
         elapsed = time.perf_counter() - start
         assert (res.value, res.nodes_explored, res.exhausted) == (value, nodes, True)
-        assert [level.value for level in res.ladder] == list(ladder)
+        assert [(level.value, level.nodes) for level in res.ladder] == list(ladder)
         assert [level.n for level in res.ladder] == list(range(f.n, n))
         assert all(level.exhausted for level in res.ladder)
-        assert res.cap == cap == n * ladder[-1] // (n - 3)
+        assert res.cap == cap == n * ladder[-1][0] // (n - 3)
         assert res.closed == (cap == value)
         assert res.witness.edges == _hex_edges(witness)
         assert hashlib.sha256(serialize(res.witness).encode()).hexdigest() == digest
@@ -418,10 +431,11 @@ def test_search_matches_list_filter_oracle(f, n, root_symmetry, budget):
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(_targets(), st.integers(3, 6))
 def test_lex_min_optimum_starts_with_orbit_least_edges(f, n):
-    # the premise of the search's two symmetry rules, read from the oracle
-    # that explores every root branch: the lex-min optimum's first edge is
-    # (0..k-1), and no permutation fixing that edge as a set maps its
-    # second edge to a smaller one
+    # the premise of the search's three symmetry rules, read from the
+    # oracle that explores every root branch: the lex-min optimum's first
+    # edge is (0..k-1), no permutation fixing that edge as a set maps its
+    # second edge to a smaller one, and each later edge takes the vertices
+    # its predecessors leave untouched in order
     value, witness, _, exhausted = _list_filter_turan(
         n, f, 20_000, root_symmetry=False)
     if not exhausted or not witness:
@@ -435,6 +449,10 @@ def test_lex_min_optimum_starts_with_orbit_least_edges(f, n):
                 p = inner + outer
                 images.add(tuple(sorted(p[v] for v in witness[1])))
         assert witness[1] == min(images)
+    for i in range(2, len(witness)):
+        t = 1 + max(max(e) for e in witness[:i])
+        fresh = [v for v in witness[i] if v >= t]
+        assert fresh == list(range(t, t + len(fresh)))
 
 
 def _oracle_ex(n, f):

@@ -162,6 +162,14 @@ def test_round_trip(h):
     assert parse(serialize(h)) == h
 
 
+@given(hypergraphs(max_n=14, ks=(2, 3, 4, 5)))
+def test_serialize_matches_joined_vertices(h):
+    # the edge rows come from one "%d ..." format built from k; they must
+    # read as the vertices joined by single spaces, byte for byte
+    rows = [f"{h.k} {h.n}"] + [" ".join(str(v) for v in e) for e in h.edges]
+    assert serialize(h) == "\n".join(rows) + "\n"
+
+
 @given(hypergraphs(), st.data())
 def test_induced_composition(h, data):
     s = data.draw(st.lists(st.integers(0, max(h.n - 1, 0)), unique=True))
