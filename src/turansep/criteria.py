@@ -120,7 +120,7 @@ def check_condition1(
         raise ParameterError("F' has no edges, so ex(v(F), F') is not defined")
     result = turan_number(m, f_sub, budget=budget)
     fp = floor_product(m, k)
-    upper = result.value if result.exhausted else result.cap
+    upper = result.upper
     holds: bool | None = None
     if upper + fp < f.edge_count:
         holds = True

@@ -47,31 +47,33 @@ the same order, and the witness is unchanged.  The incumbent is kept as
 its inclusion mask; the witness edges are the mask's set bits, read in
 candidate order.
 
-Three symmetry rules do not change returned values, as each keeps the
-lexicographically smallest optimal edge list W, the witness tie-break.
-At the root, only the first branch is explored: W contains the first
-candidate e0 = (0..k-1), as a vertex permutation taking W's first edge
-to e0 maps W to an optimum that is lex-smaller unless that edge is e0.
-One level down, only the orbit-least second edges are branched on: every
-permutation that fixes e0 as a set (S_k x S_{n-k}) maps W to an optimum
-that contains e0, which is lex-smaller if it moves W's second edge to a
-smaller one.  So W's second edge is the least in its orbit under that
-group, and an orbit is fixed by how many vertices a = k-1..0 the edge
-shares with e0: its least edge is (0..a-1) followed by (k..2k-a-1).  At
-most k candidates stay, for k = 3 the edges 013, 034 and 345; the others
-are excluded without a child.  Deeper, with the included edges touching
-the vertices 0..t-1, only candidates that take the untouched vertices in
-order are branched on: the last run of consecutive vertices of the
-candidate starts at t or below, so 015 needs t >= 5 and 034 t >= 3.  A
-permutation of the untouched vertices t..n-1 fixes every included edge,
-so it maps W, whose edges so far are the included ones, to an optimum
-that keeps them and is lex-smaller if it lowers W's next edge; that
-edge is therefore the least of its orbit, whose vertices from t on are
-t, t+1, ....  By induction the touched vertices are always 0..t-1, and
-a child's t is the larger of t and one past its new edge's top vertex.
-Each rule is a strict cut like the packing cut, so values and witnesses
-are unchanged and node counts can only fall: ex(7, K4) takes 5,573 nodes
-(7,262 without the third rule) and ex(8, K4-) 12,292 (125,566).
+One symmetry rule keeps the lexicographically smallest optimal edge list
+W, the witness tie-break: a node branches only on a candidate that is the
+least of its orbit under a group of vertex permutations that fix every
+included edge (the lex-leader argument of Crawford, Ginsberg, Luks and
+Roy, KR 1996).  Such a permutation maps W, whose edges so far are the
+included ones, to an optimum that keeps them and is lex-smaller if it
+lowers W's next edge, so that edge is the least of its orbit.  The
+groups are the rows of one table, ordered[t], where the included edges
+touch the vertices 0..t-1; by induction these are always an initial
+segment, and a child's t is the larger of t and one past its new edge's
+top vertex:
+  - row 0, at the root, is S_n: its one orbit-least edge is the first
+    candidate e0 = (0..k-1), so the root has one child, which includes e0;
+  - row k is S_k x S_{n-k}, the permutations fixing e0 as a set.  t = k
+    only at the node whose one included edge is e0, as every other edge
+    touches a vertex >= k.  An orbit is fixed by how many vertices a the
+    edge shares with e0, and its least edge is (0..a-1) followed by
+    (k..2k-a-1): for k = 3, 013, 034 and 345 beside e0 itself;
+  - row t > k is the permutations of the untouched vertices t..n-1: the
+    candidates whose vertices from t on are t, t+1, ..., that is whose
+    last run of consecutive vertices starts at t or below, so 015 needs
+    t >= 5 and 034 t >= 3.
+A candidate outside the row is excluded without a child.  The rule is a
+strict cut like the packing cut, so values and witnesses are unchanged
+and node counts can only fall: ex(7, K4) takes 5,573 nodes (9,409 with
+row 0 alone, 7,262 with rows 0 and k) and ex(8, K4-) 12,292 (351,395 and
+125,566).
 
 The search stops early at a cap from the averaging bound of Katona,
 Nemetz and Simonovits (1964): deleting a vertex from an F-free graph on m
@@ -153,6 +155,12 @@ class TuranResult:
     cap: int  # the KNS upper bound on ex(n, F) that the search stops at
     closed: bool  # the search stopped at an incumbent that met the cap
     ladder: tuple[LadderLevel, ...] = ()  # the levels searched, bottom-up
+
+    @property
+    def upper(self) -> int:
+        """The upper bound on ex(n, F): the value if the search exhausted,
+        else the cap."""
+        return self.value if self.exhausted else self.cap
 
 
 class _Stop(Exception):
@@ -258,22 +266,6 @@ class CopyIndex:
         self.through = through
 
 
-def _kill(masks: Sequence[int], inc: int) -> int:
-    """The candidates that a copy among masks would close against inc: the
-    OR of the single missing edge of every mask that inc covers but for one.
-
-    After edge j joins inc, a later candidate dies exactly when some copy
-    through j misses only that candidate.
-    """
-    outside = ~inc
-    kill = 0
-    for m in masks:
-        miss = m & outside
-        if not miss & (miss - 1):
-            kill |= miss
-    return kill
-
-
 def _kns(m: int, k: int, below: int) -> int:
     """The KNS bound floor(m * below / (m-k)) on ex(m, F), given
     ex(m-1, F) <= below; C(m, k) when m <= k."""
@@ -309,8 +301,38 @@ def turan_number(
         level = _search(m, f, budget, upper)
         ladder.append(LadderLevel(m, level.value, level.nodes_explored,
                                   level.exhausted))
-        upper = level.value if level.exhausted else level.cap
+        upper = level.upper
     return replace(_search(n, f, budget, upper), ladder=tuple(ladder))
+
+
+def _orbit_table(
+    cand: Sequence[tuple[int, ...]], n: int, k: int
+) -> tuple[list[int], list[int]]:
+    """The search's branching table ordered, and top, one past each
+    candidate's largest vertex.
+
+    ordered[t] is a mask over the candidate indices: for t = 0 the least
+    candidate of S_n's one orbit, (0..k-1); for t = k the least of each
+    orbit under S_k x S_{n-k}, the permutations fixing (0..k-1) as a set;
+    for t > k the least of each orbit under the permutations of t..n-1,
+    the candidates whose last run of consecutive vertices starts at t or
+    below.  No node reads the rows between 0 and k.
+    """
+    ordered = [0] * (n + 1)
+    top: list[int] = []
+    for j, e in enumerate(cand):
+        s = e[-1]
+        while s - 1 in e:
+            s -= 1
+        ordered[s] |= 1 << j
+        top.append(e[-1] + 1)
+    for i in range(1, n + 1):
+        ordered[i] |= ordered[i - 1]
+    # an orbit under S_k x S_{n-k} is fixed by the a vertices its edges
+    # share with (0..k-1); its least edge takes them, then k..2k-a-1
+    ordered[k] = sum(1 << cand.index((*range(a), *range(k, 2 * k - a)))
+                     for a in range(max(2 * k - n, 0), k + 1))
+    return ordered, top
 
 
 def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
@@ -321,15 +343,12 @@ def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
     F that does not fit on n vertices, v(F) > n, is settled without a
     search: the complete k-graph, 0 nodes, closed.
 
-    The root includes cand[0] = (0..k-1) when any candidate is alive (an F
-    with one edge kills them all), and its child branches only on
-    the second edges in second, the least edge of each orbit under the
-    permutations fixing (0..k-1) as a set.  Any relabeling in that group
-    keeps an optimum containing (0..k-1), so a lex-min optimum whose
-    second edge is not orbit-least would map to a lex-smaller one.
-    Deeper nodes hand down t, the included edges touching 0..t-1, and
-    branch only on the candidates in ordered[t], each the least of its
-    orbit under the permutations of t..n-1, which fix every included edge.
+    The root includes nothing and is not a node: nodes are counted, and
+    the budget checked, as each child is made.  A node whose included
+    edges touch 0..t-1 branches only on the candidates in ordered[t] (see
+    _orbit_table), each the least of its orbit under permutations that fix
+    every included edge.  An F with one edge fits but kills every
+    candidate, so its root makes no child: value 0, 0 nodes, exhausted.
     """
     k = f.k
     cap = _kns(n, k, below)
@@ -341,24 +360,7 @@ def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
     cand = engine.cand
     through = engine.through
     by_vertex = _incidence_rows(n, cand)
-    # the least edge of each orbit under the permutations that fix
-    # cand[0] = (0..k-1) as a set: a of its vertices, then k-a outside it
-    second = 0
-    for a in range(max(2 * k - n, 0), k):
-        second |= 1 << cand.index((*range(a), *range(k, 2 * k - a)))
-    # ordered[t]: the candidates whose last run of consecutive vertices
-    # starts at t or below, which take the vertices from t on in order;
-    # top: one past each candidate's largest vertex
-    ordered = [0] * (n + 1)
-    top: list[int] = []
-    for j, e in enumerate(cand):
-        s = e[-1]
-        while s - 1 in e:
-            s -= 1
-        ordered[s] |= 1 << j
-        top.append(e[-1] + 1)
-    for i in range(1, n + 1):
-        ordered[i] |= ordered[i - 1]
+    ordered, top = _orbit_table(cand, n, k)
     best = 0
     witness = 0  # the incumbent's inclusion mask
     nodes = 0
@@ -371,10 +373,6 @@ def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
         # copy masks handed down, a superset of the copies inside inc | alive;
         # t: the included edges touch the vertices 0..t-1
         nonlocal best, witness, nodes, exhausted, closed
-        nodes += 1
-        if nodes > budget:
-            exhausted = False
-            raise _Stop
         if count > best:
             best = count
             witness = inc
@@ -385,12 +383,13 @@ def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
         rest = alive
         left = alive.bit_count()
         # the candidates this node may branch on
-        allow = ordered[t] if inc != 1 else second
+        allow = ordered[t]
         filtered = False
         # the vertices whose degree in inc | rest is yet to be checked
         around: Sequence[int] = range(n)
-        # each pass decides the candidates in rest, branching on the lowest
-        while rest and count + left > best:
+        # each pass decides the candidates in rest, branching on the lowest;
+        # once none of rest is allowed, a pass could only cut or exclude
+        while rest & allow and count + left > best:
             within = inc | rest
             # a completion that beats best keeps need edges or more through
             # each vertex, as deleting one leaves at most below
@@ -427,31 +426,34 @@ def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
             rest ^= low
             left -= 1
             j = low.bit_length() - 1
-            # beside the root edge alone, only an orbit-least second edge
-            # is branched on, and deeper only an edge that takes the
-            # untouched vertices in order; any other is excluded here
+            # only an orbit-least candidate is branched on; any other is
+            # excluded here
             if low & allow:
+                nodes += 1
+                if nodes > budget:
+                    exhausted = False
+                    raise _Stop
                 inc2 = inc | low
-                rec(rest & ~_kill(through[j], inc2), count + 1, inc2, live,
-                    t if t > top[j] else top[j])
+                # a later candidate dies when a copy through j misses it
+                # alone: kill ORs the single missing edges
+                outside = ~inc2
+                kill = 0
+                for m in through[j]:
+                    miss = m & outside
+                    if not miss & (miss - 1):
+                        kill |= miss
+                rec(rest & ~kill, count + 1, inc2, live, t if t > top[j] else top[j])
             # excluding j lowers the degrees of its k vertices alone
             around = cand[j]
 
-    # a copy with one edge kills that edge at the root
-    root_alive = ((1 << len(cand)) - 1) & ~_kill(engine.copies, 0)
     # rec recurses once per included edge; CPython >= 3.11 makes
     # Python-to-Python calls without the C stack, so only the limit binds
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + len(cand))
     try:
-        if root_alive:
-            # sound cut: some optimum (and the lex-min one) contains cand[j0]
-            low = root_alive & -root_alive
-            j0 = low.bit_length() - 1
-            alive = (root_alive ^ low) & ~_kill(through[j0], low)
-            rec(alive, 1, low, engine.copies, k)
-        else:
-            rec(root_alive, 0, 0, engine.copies, 0)
+        # each candidate alone is a copy of a one-edge F, so none is alive
+        # at the root; an F with more edges has no such copy
+        rec((1 << len(cand)) - 1 if f.edge_count > 1 else 0, 0, 0, engine.copies, 0)
     except _Stop:
         pass
     finally:

@@ -157,6 +157,24 @@ def test_turan_target_that_does_not_fit_needs_no_search(capsys):
     assert len(payload["witness_edges"]) == 120
 
 
+def test_turan_one_edge_target_makes_no_child(capsys):
+    # a one-edge F kills every candidate at the root, which is not a node,
+    # so each search makes no child: value 0 and 0 nodes at every n >= v(F),
+    # as for an F that does not fit
+    for f in (parse_family_token("D:1,3"),
+              *(from_edges(3, vf, [(0, 1, 2)]) for vf in (3, 4, 5))):
+        for n in range(f.n, 8):
+            res = turan_number(n, f)
+            assert (res.value, res.nodes_explored, res.exhausted) == (0, 0, True)
+            assert all((level.value, level.nodes, level.exhausted) == (0, 0, True)
+                       for level in res.ladder)
+    code, out = invoke(capsys, "turan", "4", "D:1,3", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["value"], payload["nodes_explored"]) == (0, 0)
+    assert payload["exhausted"] is True
+
+
 def test_separate_command(capsys):
     code, out = invoke(capsys, "separate", "K:5,3", "K:4,3", "--json")
     assert code == 0

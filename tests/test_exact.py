@@ -16,6 +16,7 @@ from turansep.exact import (
     CopyIndex,
     _anchors,
     _labelings,
+    _orbit_table,
     _search,
     random_maximal_free,
     turan_number,
@@ -258,23 +259,24 @@ def test_random_maximal_free_digests_pinned(token, seed):
 def test_search_tree_pinned():
     # node counts pin the search tree itself, not only its answer;
     # ex(7, K4) = 23 with 5,573 nodes is pinned in acceptance criterion 3
-    # (its cap, 24, does not close it; 9,409 nodes before the second-edge
-    # rule, 7,262 before the untouched-vertex rule).  Before the packing
-    # bound the first two rows took 151,138 and 497,310 nodes, before the
-    # KNS cap 23,984 and 25,608, and before the vertex-deletion cut 35 and
-    # 22,405; the lex-min witnesses are frozen from those searches, and
-    # the digests (SHA-256 of the serialized witness) from the searches
-    # without the vertex-deletion cut.  The second-edge rule left the first
-    # three rows' node counts as they were; ex(7, K4-) took 1,970 nodes
-    # before it and 799 before the untouched-vertex rule, and its witness
-    # and digest are frozen from the 1,970-node search.  The
-    # untouched-vertex rule also left the first three rows' counts, but cut
-    # the ladder of the first from 217 nodes to 74 at level 8.  ex(8, K4-)
-    # took 351,395 nodes with the root rule alone and 125,566 before the
-    # untouched-vertex rule; its witness and digest are frozen from the
-    # 351,395-node search.  Each row: the ladder's values and nodes at
-    # v(F)..n-1, and the cap at n, which closes the search when it meets
-    # the value
+    # (its cap, 24, does not close it).  The search's orbit table grew a
+    # row at a time: with row 0 alone (the first edge is (0..k-1)) ex(7,
+    # K4) took 9,409 nodes, with row k too (orbit-least second edges)
+    # 7,262, and the rows t > k (untouched vertices in order) cut it to
+    # 5,573.  Before the packing bound the first two cases took 151,138 and
+    # 497,310 nodes, before the KNS cap 23,984 and 25,608, and before the
+    # vertex-deletion cut 35 and 22,405; the lex-min witnesses are frozen
+    # from those searches, and the digests (SHA-256 of the serialized
+    # witness) from the searches without the vertex-deletion cut.  Row k
+    # left the first three cases' node counts as they were; ex(7, K4-) took
+    # 1,970 nodes before it and 799 before the rows t > k, and its witness
+    # and digest are frozen from the 1,970-node search.  The rows t > k
+    # also left the first three cases' counts, but cut the ladder of the
+    # first from 217 nodes to 74 at level 8.  ex(8, K4-) took 351,395
+    # nodes with row 0 alone and 125,566 before the rows t > k; its
+    # witness and digest are frozen from the 351,395-node search.  Each
+    # case: the ladder's values and nodes at v(F)..n-1, and the cap at n,
+    # which closes the search when it meets the value
     for n, spec, value, nodes, ladder, cap, witness, digest, limit in (
         (9, FamilySpec.daisy(2, 3), 12, 35, ((1, 1), (2, 2), (4, 4), (7, 7), (8, 74)), 12,
          "012 034 056 078 135 147 168 238 246 257 367 458",
@@ -431,11 +433,12 @@ def test_search_matches_list_filter_oracle(f, n, root_symmetry, budget):
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(_targets(), st.integers(3, 6))
 def test_lex_min_optimum_starts_with_orbit_least_edges(f, n):
-    # the premise of the search's three symmetry rules, read from the
-    # oracle that explores every root branch: the lex-min optimum's first
-    # edge is (0..k-1), no permutation fixing that edge as a set maps its
-    # second edge to a smaller one, and each later edge takes the vertices
-    # its predecessors leave untouched in order
+    # the premise of the search's one symmetry rule, rows 0, k and t > k of
+    # its orbit table, read from the oracle that explores every root
+    # branch: the lex-min optimum's first edge is (0..k-1), no permutation
+    # fixing that edge as a set maps its second edge to a smaller one, and
+    # each later edge takes the vertices its predecessors leave untouched
+    # in order
     value, witness, _, exhausted = _list_filter_turan(
         n, f, 20_000, root_symmetry=False)
     if not exhausted or not witness:
@@ -453,6 +456,31 @@ def test_lex_min_optimum_starts_with_orbit_least_edges(f, n):
         t = 1 + max(max(e) for e in witness[:i])
         fresh = [v for v in witness[i] if v >= t]
         assert fresh == list(range(t, t + len(fresh)))
+
+
+def _orbit_least(cand, perms):
+    """Oracle: the mask of the candidates that are least in their orbit
+    under the vertex permutations perms, each a tuple mapping v to p[v]."""
+    return sum(1 << j for j, e in enumerate(cand)
+               if all(tuple(sorted(p[v] for v in e)) >= e for p in perms))
+
+
+def test_orbit_table_rows_are_orbit_minima():
+    # each row the search reads against brute force: row 0 under S_n, row
+    # k under S_k x S_{n-k} and row t > k under the permutations of t..n-1
+    for k in range(2, 5):
+        for n in range(k, 8):
+            cand = list(combinations(range(n), k))
+            ordered, top = _orbit_table(cand, n, k)
+            assert len(ordered) == n + 1
+            assert top == [e[-1] + 1 for e in cand]
+            assert ordered[0] == _orbit_least(cand, list(permutations(range(n))))
+            assert ordered[k] == _orbit_least(
+                cand, [inner + outer for inner in permutations(range(k))
+                       for outer in permutations(range(k, n))])
+            for t in range(k + 1, n + 1):
+                assert ordered[t] == _orbit_least(
+                    cand, [tuple(range(t)) + p for p in permutations(range(t, n))])
 
 
 def _oracle_ex(n, f):
