@@ -8,7 +8,10 @@ emits, if any; ``run`` writes the envelope every report carries
 maps the verdict to the exit code: True 0 (success / property holds),
 False 1 (property violated, with a witness in the report), None 3
 (search budget exhausted).  Invalid input exits 2, and so does an input
-too large to fit in memory (``error: out of memory ...``).  A reader
+too large to fit in memory (``error: out of memory ...``) or holding a
+number too large for the command, such as a vertex count beyond the
+machine's index range (``error: a number in the input is too large
+...``).  A reader
 that closes stdout before the whole report is written leaves the
 verdict's exit code and nothing on stderr.
 
@@ -393,6 +396,10 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     except MemoryError:
         print("error: out of memory: the input is too large for this command",
+              file=sys.stderr)
+        return 2
+    except OverflowError:
+        print("error: a number in the input is too large for this command",
               file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -28,7 +28,10 @@ therefore lex-min in its orbit under both, so it gives each twin class
 non-decreasing labels in vertex order, and v's label loop starts at the
 label of its previous twin.
 F' ⊆ F - V_j is decided by the copy search on F's own links over the
-vertices outside V_j, memoized on the mask of V_j.
+vertices outside V_j, under functools.cache on the mask of V_j, so the
+cached function's cache_info() gives the memo's hits and misses.  The
+enumeration stops at the first violation and leaves the parts as they are
+on the way out, so the counterexample is the parts where it stopped.
 
 Both conditions read F' without its isolated vertices.  π(F') does not
 depend on them, and they would keep F' out of an F - V_j with room for
@@ -40,6 +43,7 @@ vacuously.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -157,33 +161,22 @@ def check_condition2(f: Hypergraph, f_sub: Hypergraph) -> Condition2Result:
     tree = embed._compile(f_sub)[1]
     full = (1 << m) - 1
 
-    # memoized containment of F' in F - V_j, keyed on the removed set
-    memo: dict[int, bool] = {}
-
+    @functools.cache
     def contained_after_removing(part_mask: int) -> bool:
-        hit = memo.get(part_mask)
-        if hit is None:
-            # F - V_j needs v(F') vertices and e(F') edges before the search
-            hit = memo[part_mask] = (
-                m - part_mask.bit_count() >= f_sub.n
+        # F - V_j needs v(F') vertices and e(F') edges before the search
+        return (m - part_mask.bit_count() >= f_sub.n
                 and sum(not e & part_mask for e in edge_masks) >= f_sub.edge_count
                 and embed._extend(tree, f.links, [], full ^ part_mask))
-        return hit
 
     part_masks = [0] * k
     labels = [0] * m
     checked = 0
-    violation: list[Partition] = []
 
     def enumerate_from(v: int, used_labels: int) -> bool:
         nonlocal checked
         if v == m:
             checked += 1
-            if any(not p or contained_after_removing(p) for p in part_masks[1:]):
-                return True
-            violation.append(tuple(
-                tuple(u for u in range(m) if p >> u & 1) for p in part_masks))
-            return False
+            return any(not p or contained_after_removing(p) for p in part_masks[1:])
         # v in part 1 passes the filter, as the edges ending at v contain v;
         # v in parts 2..k passes only if those edges already meet part 1
         top = min(used_labels + 2, k) if all(
@@ -203,11 +196,15 @@ def check_condition2(f: Hypergraph, f_sub: Hypergraph) -> Condition2Result:
         holds = enumerate_from(0, 0)
     finally:
         # enumerate_from refers to itself through its closure; without this
-        # the cycle keeps the memo alive until a full collection
+        # the cycle keeps the cache of contained_after_removing alive until
+        # a full collection
         del enumerate_from
+    # no caller undoes a part on the way out of a violation, so the parts
+    # are where the enumeration stopped
     return Condition2Result(
         holds=holds,
-        counterexample=None if holds else violation[0],
+        counterexample=None if holds else tuple(
+            tuple(u for u in range(m) if p >> u & 1) for p in part_masks),
         partitions_checked=checked,
     )
 

@@ -87,8 +87,12 @@ searched, and the bound alone carries on up to the cap at n.  The
 include-first search changes its witness only on a strict improvement,
 so the first incumbent that meets the cap is the optimum and already the
 lex-min witness: stopping there keeps the value and the witness of the
-full search, only with fewer nodes.  Every search has its own node
-budget; the result's node count is the search at n alone.
+full search, only with fewer nodes.  No F-free graph beats the cap, so
+a search is closed, stopped at the cap, exactly when its value equals
+the cap.  Every search has its own node budget and is cut when a child
+would be its node budget + 1; that is the only stop that is not exact,
+so a search exhausted exactly when it took no more nodes than its
+budget.  The result's node count is the search at n alone.
 
 The same deletion cuts nodes vertex by vertex: deleting a vertex that
 lies in d of the e edges of an F-free graph leaves an F-free graph with
@@ -153,8 +157,13 @@ class TuranResult:
     nodes_explored: int
     exhausted: bool
     cap: int  # the KNS upper bound on ex(n, F) that the search stops at
-    closed: bool  # the search stopped at an incumbent that met the cap
     ladder: tuple[LadderLevel, ...] = ()  # the levels searched, bottom-up
+
+    @property
+    def closed(self) -> bool:
+        """Whether the search stopped at an incumbent that met the cap; the
+        cap bounds every value from above, so exactly when they are equal."""
+        return self.value == self.cap
 
     @property
     def upper(self) -> int:
@@ -339,9 +348,11 @@ def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
     """The branch-and-bound search on n vertices, given below >= ex(n-1, F).
 
     It stops at budget + 1 nodes or once the incumbent meets the KNS cap
-    that below gives on ex(n, F).  C(n-1, k) is always a valid below.  An
-    F that does not fit on n vertices, v(F) > n, is settled without a
-    search: the complete k-graph, 0 nodes, closed.
+    that below gives on ex(n, F), so the result is exhausted when it took
+    budget nodes or fewer, and closed when its value is the cap.  C(n-1, k)
+    is always a valid below.  An F that does not fit on n vertices,
+    v(F) > n, is settled without a search: the complete k-graph, 0 nodes,
+    closed.
 
     The root includes nothing and is not a node: nodes are counted, and
     the budget checked, as each child is made.  A node whose included
@@ -354,7 +365,7 @@ def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
     cap = _kns(n, k, below)
     if f.n > n:
         full = tuple(combinations(range(n), k))
-        return TuranResult(len(full), Hypergraph(k, n, full), 0, True, cap, True)
+        return TuranResult(len(full), Hypergraph(k, n, full), 0, True, cap)
 
     engine = CopyIndex(n, f)
     cand = engine.cand
@@ -364,21 +375,18 @@ def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
     best = 0
     witness = 0  # the incumbent's inclusion mask
     nodes = 0
-    exhausted = True
-    closed = False
 
     def rec(alive: int, count: int, inc: int, live: Sequence[int], t: int) -> None:
         # alive: bitmask of the candidates after the last included one that
         # can still be added to inc without closing a copy of F; live: the
         # copy masks handed down, a superset of the copies inside inc | alive;
         # t: the included edges touch the vertices 0..t-1
-        nonlocal best, witness, nodes, exhausted, closed
+        nonlocal best, witness, nodes
         if count > best:
             best = count
             witness = inc
         if best >= cap:
             # the incumbent is optimal, and the first at its value
-            closed = True
             raise _Stop
         rest = alive
         left = alive.bit_count()
@@ -431,7 +439,6 @@ def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
             if low & allow:
                 nodes += 1
                 if nodes > budget:
-                    exhausted = False
                     raise _Stop
                 inc2 = inc | low
                 # a later candidate dies when a copy through j misses it
@@ -463,7 +470,7 @@ def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
         del rec
     # the witness's bits, lowest first, beside the candidates they index
     edges = tuple(e for e, bit in zip(cand, reversed(f"{witness:b}")) if bit == "1")
-    return TuranResult(best, Hypergraph(k, n, edges), nodes, exhausted, cap, closed)
+    return TuranResult(best, Hypergraph(k, n, edges), nodes, nodes <= budget, cap)
 
 
 def random_maximal_free(n: int, f: Hypergraph, seed: int) -> Hypergraph:

@@ -416,6 +416,10 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
     # a single edge on k vertices: too few vertices for condition 1
     triangle = tmp_path / "triangle.hg"
     triangle.write_text("3 3\n0 1 2\n")
+    # a vertex count beyond the index range of the machine
+    huge = "99999999999999999999"
+    oversized = tmp_path / "oversized.hg"
+    oversized.write_text(f"3 {huge}\n0 1 2\n")
     for argv in (
         ["build", "K:3,3"],
         ["turan", "5", "missing.hg"],
@@ -440,6 +444,16 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
         # ex(v(F), F') needs v(F) > k
         ["condition1", str(triangle), str(triangle)],
         ["separate", str(triangle), str(triangle)],
+        # numbers too large for the command
+        ["build", f"K:{huge},3"],
+        ["build", f"D:2,{huge}"],
+        ["construct", "s6star", huge],
+        ["construct", "bipartite-g", huge],
+        ["construct", "blowup", "S6", "1", "1", "1", "1", "1", huge],
+        ["construct", "six-part", "1", "1", "1", "1", "1", huge],
+        ["free-check", str(oversized), "K:4,3"],
+        ["condition2", "K:5,3", str(oversized)],
+        ["construct", "augment", str(oversized)],
     ):
         assert run(argv) == 2, argv
         out, err = capsys.readouterr()
@@ -448,7 +462,7 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
         if argv[1] == str(triangle):
             assert err == "error: need v(F) > k, got v(F)=3, k=3\n", argv
     assert sorted(f.name for f in tmp_path.iterdir()) == [
-        "binary.hg", "edgeless.hg", "k4_free.hg", "triangle.hg"]
+        "binary.hg", "edgeless.hg", "k4_free.hg", "oversized.hg", "triangle.hg"]
     # condition 2, unlike condition 1, holds for it vacuously
     code, out = invoke(capsys, "condition2", "D:1,3", str(edgeless), "--json")
     assert code == 0 and json.loads(out)["condition2"]["holds"] is True

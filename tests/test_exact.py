@@ -505,6 +505,10 @@ def _ladder_cases(draw):
 @example((from_edges(3, 5, list(combinations(range(4), 3))), 6, 5))
 @example((from_edges(3, 5, list(combinations(range(4), 3))), 4, None))
 @example((from_edges(3, 4, list(combinations(range(4), 3))), 6, 2))
+# ex(6, K4) takes 33 nodes, and the 33rd meets the cap of 14: a budget of
+# 32 cuts the search there, one of 33 lets it close
+@example((from_edges(3, 4, list(combinations(range(4), 3))), 6, 32))
+@example((from_edges(3, 4, list(combinations(range(4), 3))), 6, 33))
 # an F that does not fit, edgeless or not, settled without a search
 @example((from_edges(3, 5, []), 4, None))
 @example((from_edges(3, 5, [(0, 1, 2), (1, 2, 3)]), 4, 1))
@@ -521,6 +525,10 @@ def test_ladder_is_sound(case):
     assert res.closed == (res.value == res.cap)
     if res.closed:
         assert res.exhausted
+    # the budget stop, at budget + 1 nodes, is the only one that is not exact
+    assert res.exhausted == (res.nodes_explored <= budget)
+    if not res.exhausted:
+        assert res.nodes_explored == budget + 1
     if res.exhausted:
         assert res.value == ex
     # levels v(F), v(F)+1, ... are searched up to n-1 or the first cut one

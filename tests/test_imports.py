@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, every private
-definition of the package is used, and every public one is read by the
-package or by the benchmark, not by tests alone."""
+definition of the package is used, every public one is read by the
+package or by the benchmark, not by tests alone, and every local that a
+function of the package assigns is read."""
 
 import ast
 from collections import Counter
@@ -114,3 +115,66 @@ def test_detector_flags_an_unread_public_definition():
 def test_package_public_definitions_are_read_outside_tests():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert sorted(unreferenced(sources, False, benchmark_reads())) == sorted(TEST_ONLY)
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_scope(func: ast.AST):
+    """The nodes of func's body, without the bodies of the functions and
+    classes nested in it."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def dead_stores(source: str) -> list[str]:
+    """Locals that a function assigns and that nothing in it reads, nested
+    functions included; a name that a nested function declares nonlocal
+    counts as read, and _ is exempt."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stores: dict[str, int] = {}
+        # names that the function declares global or nonlocal are not its own
+        exempt = {"_"}
+        for node in _own_scope(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stores[node.id] = min(node.lineno, stores.get(node.id, node.lineno))
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                exempt.update(node.names)
+        read = set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Nonlocal):
+                read.update(node.names)
+        found += [f"{func.name}: {name} (line {line})"
+                  for name, line in sorted(stores.items(), key=lambda item: item[1])
+                  if name not in exempt | read]
+    return found
+
+
+def test_detector_flags_a_dead_store():
+    source = ("def f(a):\n"
+              "    x = a\n"
+              "    y, _ = a\n"
+              "    n = t = 0\n"
+              "    x += 1\n"
+              "\n"
+              "    def g():\n"
+              "        nonlocal n\n"
+              "        n = t\n"
+              "        u = 1\n"
+              "    return g\n")
+    assert dead_stores(source) == ["f: x (line 2)", "f: y (line 3)", "g: u (line 10)"]
+    assert dead_stores(source.replace("return g", "return g, x, y")) == ["g: u (line 10)"]
+
+
+def test_package_functions_read_every_local_they_assign():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert [store for source in sources for store in dead_stores(source)] == []
