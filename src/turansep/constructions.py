@@ -16,12 +16,18 @@ over its six parts.
 Vertex layout conventions: parts occupy consecutive index ranges; splits
 into near-equal parts give the remainder to the earliest parts; recursion
 in the iterated blow-up stops below six vertices (no internal edges there).
+Every pattern is blown up over ascending, disjoint ranges, so its edges are
+its picks concatenated in part order, each already increasing, and they
+come out as one lex-sorted run: a builder sorts its runs once, sorts no
+edge on its own, and leaves a repeated edge to the Hypergraph constructor
+to reject.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, pairwise, product
+from itertools import accumulate, chain, combinations, pairwise, product, starmap
+from operator import add, eq
 
 from . import embed
 from .errors import ConsistencyError, ParameterError
@@ -79,16 +85,24 @@ def blowup(spec: BlowupSpec) -> Hypergraph:
     """Replace vertex v by a class of spec.part_sizes[v] vertices and each
     base edge by all transversal k-sets across its classes."""
     classes = _consecutive(0, spec.part_sizes)
-    edges = [t for e in spec.base.edges for t in _blown(e, classes)]
-    return from_edges(spec.base.k, sum(spec.part_sizes), edges)
+    edges = chain.from_iterable(_blown(e, classes) for e in spec.base.edges)
+    return Hypergraph(spec.base.k, sum(spec.part_sizes), tuple(sorted(edges)))
 
 
 def _blown(pattern, parts) -> list[tuple[int, ...]]:
-    """The pattern blown up over parts: every edge, as a sorted tuple, that
-    takes m distinct vertices of parts[j] for each j named m times."""
-    picks = product(*(combinations(parts[j], pattern.count(j))
-                      for j in dict.fromkeys(pattern)))
-    return [tuple(sorted(chain.from_iterable(pick))) for pick in picks]
+    """The pattern blown up over parts: every edge that takes m distinct
+    vertices of parts[j] for each j named m times, in lex order.
+
+    The parts a pattern names must be ascending, disjoint ranges (parts[i]
+    below parts[j] for i < j), as every builder here lays them out: then
+    the picks, taken in ascending part order and concatenated, are already
+    increasing tuples, and the product yields them in lex order.
+    """
+    edges: list[tuple[int, ...]] = [()]
+    for j in sorted(set(pattern)):
+        picks = combinations(parts[j], pattern.count(j))
+        edges = list(starmap(add, product(edges, picks)))
+    return edges
 
 
 def _consecutive(start: int, sizes) -> list[range]:
@@ -111,7 +125,7 @@ def iterated_blowup_s6(n: int) -> Hypergraph:
     """
     if n < 0:
         raise ParameterError(f"vertex count must be >= 0, got n={n}")
-    return from_edges(3, n, _s6_star([range(n)]))
+    return Hypergraph(3, n, tuple(sorted(_s6_star([range(n)]))))
 
 
 def _s6_star(ranges) -> list[tuple[int, ...]]:
@@ -123,7 +137,7 @@ def _s6_star(ranges) -> list[tuple[int, ...]]:
         if len(r) < 6:
             continue
         parts = _near_equal_split(r.start, r.stop, 6)
-        edges.extend(t for e in S6_EDGES for t in _blown(e, parts))
+        edges.extend(chain.from_iterable(_blown(e, parts) for e in S6_EDGES))
         ranges.extend(parts)
     return edges
 
@@ -143,7 +157,7 @@ def bipartite_g(n: int) -> Hypergraph:
     {a_i, b_j, a_k} and {a_i, b_j, b_k} for i, j < k (i = j permitted)."""
     if n < 1:
         raise ParameterError(f"side size must be >= 1, got n={n}")
-    return from_edges(3, 2 * n, _g(range(n), range(n, 2 * n)))
+    return Hypergraph(3, 2 * n, tuple(sorted(_g(range(n), range(n, 2 * n)))))
 
 
 def _g(a: range, b: range) -> list[tuple[int, ...]]:
@@ -158,17 +172,19 @@ def bipartite_g_edge_count(n: int) -> int:
     return (n - 1) * n * (2 * n - 1) // 3
 
 
-def _six_part_layers(p: SixPartParams) -> dict[str, set[tuple[int, ...]]]:
+def _six_part_layers(p: SixPartParams) -> dict[str, list[tuple[int, ...]]]:
+    """The five layers of six_part_h(p), each a list of increasing edges
+    made of sorted runs."""
     part = dict(enumerate(_consecutive(0, p.sizes), start=1))
     layers = {
-        name: {e for pattern in patterns for e in _blown(pattern, part)}
+        name: list(chain.from_iterable(_blown(t, part) for t in patterns))
         for name, patterns in (("transversal", ALLOWED_PART_TRIPLES),
                                ("pair_in_y", PAIR_IN_Y),
                                ("pair_in_x", PAIR_IN_X))
     }
-    layers["inner_blowup"] = set(_s6_star(part.values()))
+    layers["inner_blowup"] = _s6_star(part.values())
     # the a-side of each copy is the lower-numbered part
-    layers["bipartite_g"] = set(_g(part[1], part[2]) + _g(part[4], part[5]))
+    layers["bipartite_g"] = _g(part[1], part[2]) + _g(part[4], part[5])
     return layers
 
 
@@ -190,16 +206,17 @@ def six_part_h(p: SixPartParams) -> Hypergraph:
 def six_part_with_breakdown(p: SixPartParams) -> tuple[Hypergraph, dict[str, int]]:
     """six_part_h(p) and six_part_breakdown(p) from one build of the layers."""
     layers = _six_part_layers(p)
-    union: set[tuple[int, ...]] = set()
-    total = 0
-    for name, layer in layers.items():
-        total += len(layer)
-        union.update(layer)
-        if len(union) != total:
-            raise ConsistencyError(f"layer {name} overlaps an earlier layer")
+    # every layer holds increasing triples in sorted runs, so one sort of
+    # them all is canonical, and a shared edge shows as two equal neighbours
+    edges = sorted(chain.from_iterable(layers.values()))
+    if any(map(eq, edges, edges[1:])):
+        seen: set[tuple[int, ...]] = set()
+        for name, layer in layers.items():
+            if not seen.isdisjoint(layer):
+                raise ConsistencyError(f"layer {name} overlaps an earlier layer")
+            seen.update(layer)
     counts = {name: len(layer) for name, layer in layers.items()}
-    # every layer holds sorted triples, so the union is canonical once sorted
-    return Hypergraph(3, p.n, tuple(sorted(union))), counts
+    return Hypergraph(3, p.n, tuple(edges)), counts
 
 
 def six_part_breakdown(p: SixPartParams) -> dict[str, int]:

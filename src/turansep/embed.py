@@ -22,17 +22,22 @@ left, the mask of vertices lying in all but at most j of the links of its
 (k-1)-subsets.  The last of those masks gives the candidates for the next
 vertex, and a child folds in only the links through its new vertex, each
 keyed by a (k-2)-subset mask of the prefix ORed with the new vertex's bit.
-Only vertices of degree at least C(r-1, k-1) - slack take part: a vertex
-of a violating r-subset lies in all but at most the slack of the
-C(r-1, k-1) k-subsets of the subset through it.
+Those masks are handed down, each child adding its new bit to the
+prefix's smaller subsets, and are not enumerated again per prefix.  Only
+vertices of degree at least C(r-1, k-1) - slack take part: a vertex of a
+violating r-subset lies in all but at most the slack of the C(r-1, k-1)
+k-subsets of the subset through it.  A count cut skips a child that
+needs m more vertices and holds fewer than m in its last mask above its
+new vertex, as every vertex still to come lies there.
 
 A prefix of r - 2 vertices decides its last two vertices at once, on
 pair matrices: pair (x, y) of [n] sits at bit s·x + y, s being n + 1
 rounded up to whole bytes, and the matrix of a (k-2)-set u has row x =
 links[u | 1 << x].  Folded into slack levels and met with lifts of the
 vertex levels (``_pair_found``), they show in a few big-int operations
-whether any pair completes the prefix; a prefix that none completes is
-cut without a step per candidate.  The test runs only where it costs
+whether any pair completes the prefix.  The parent runs the test before
+it calls the prefix, so a prefix that no pair completes costs neither a
+call nor a step per candidate.  The test runs only where it costs
 less than the steps it saves.  With l slack levels and m (k-2)-subsets
 in the prefix, it folds m matrices of about n² bits into each level and
 lifts each level by two multiplies with constants of that size, together
@@ -56,7 +61,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from math import comb
 
 from .errors import ParameterError
@@ -273,37 +277,40 @@ def _pair_found(pairs: _PairMatrices, subs: list[int], miss: list[int],
     return False
 
 
-def _complete(pairs: _PairMatrices, k: int, r: int, prefix: tuple[int, ...],
-              miss: list[int], c: int) -> tuple[tuple[int, ...], int] | None:
+def _complete(pairs: _PairMatrices, r: int, prefix: tuple[int, ...],
+              subsets: list[list[int]], miss: list[int],
+              c: int) -> tuple[tuple[int, ...], int] | None:
     """Lex-first completion of prefix to an r-subset missing at most the
     slack in k-subsets, as (subset, slack left over), or None.
 
-    prefix and the subset hold vertex bits (1 << u for vertex u).
-    len(miss) - 1 is the slack the prefix leaves, and miss[j] holds the
-    vertices w for which adding w misses at most j more k-subsets: w lies
-    in all but at most j of the links of the prefix's (k-1)-subsets.  c
-    holds the candidates for the next vertex: miss[-1] cut to the vertices
-    above the prefix that leave room for the rest.  A child keeps the
-    levels within its own slack and folds in the links of the
-    (k-1)-subsets through its new vertex, each the mask of a (k-2)-subset
-    of the prefix ORed with the new bit.
+    prefix and the subset hold vertex bits (1 << u for vertex u), and
+    subsets[i] the masks of the prefix's (i-1)-subsets for i < k: [] for
+    i = 0, [0] for i = 1, and the (k-2)-subsets last.  len(miss) - 1 is
+    the slack the prefix leaves, and miss[j] holds the vertices w for
+    which adding w misses at most j more k-subsets: w lies in all but at
+    most j of the links of the prefix's (k-1)-subsets.  c holds the
+    candidates for the next vertex: miss[-1] cut to the vertices above the
+    prefix that leave room for the rest.  A child keeps the levels within
+    its own slack and folds in the links of the (k-1)-subsets through its
+    new vertex, each the mask of a (k-2)-subset of the prefix ORed with
+    the new bit.
 
-    A prefix of r - 2 vertices with at least pairs.least[slack]
-    candidates first takes the pair test (_pair_found), which decides the
-    last two vertices at once: a prefix that no pair completes is cut
-    without a step per candidate, and one that some pair completes takes
-    the steps below, which find the lex-first pair.  The test's work grows
-    with n³ and a step's hardly at all, so the count it needs grows with
-    n.  A module function rather than a closure, for the reason _extend
-    gives.
+    Two cuts act on a child before it is called.  The count cut: a child
+    of d + 1 vertices needs r - d - 1 more from its top level above its
+    new vertex, so one whose top level holds fewer is skipped.  The pair
+    test: a child of r - 2 vertices with at least pairs.least[slack]
+    candidates is tested by _pair_found, which decides its last two
+    vertices at once, and one that no pair completes is skipped; one that
+    some pair completes is called, and its steps find the lex-first pair.
+    The test's work grows with n³ and a step's hardly at all, so the
+    count it needs grows with n.  A module function rather than a closure,
+    for the reason _extend gives.
     """
     d, slack, n = len(prefix), len(miss) - 1, pairs.n
-    subs = list(map(sum, combinations(prefix, k - 2)))
-    if (d + 2 == r and c.bit_count() >= pairs.least[slack]
-            and not _pair_found(pairs, subs, miss, c)):
-        return None
+    subs = subsets[-1]
     # the vertex after v lies above it and leaves room for r - d - 2 more
     room = (1 << n - r + d + 2) - 1
+    need, least = r - d - 1, pairs.least
     get = pairs.links.get
     while c:
         low = c & -c
@@ -321,11 +328,20 @@ def _complete(pairs: _PairMatrices, k: int, r: int, prefix: tuple[int, ...],
                 child[i] = child[i] & m | child[i - 1]
             child[0] &= m
         # -(low << 1) keeps the bits above low
-        cc = child[-1] & -(low << 1) & room
-        if cc:
-            found = _complete(pairs, k, r, prefix + (low,), child, cc)
-            if found:
-                return found
+        above = child[-1] & -(low << 1)
+        if above.bit_count() < need:
+            continue
+        # the child's i-subsets: the prefix's, and its (i-1)-subsets with low
+        csubs = subs + [u | low for u in subsets[-2]]
+        cc = above & room
+        if (need == 2 and cc.bit_count() >= least[slack - j]
+                and not _pair_found(pairs, csubs, child, cc)):
+            continue
+        grown = [[], *(a + [u | low for u in b]
+                       for a, b in zip(subsets[1:-1], subsets)), csubs]
+        found = _complete(pairs, r, prefix + (low,), grown, child, cc)
+        if found:
+            return found
     return None
 
 
@@ -357,7 +373,8 @@ def spanned_edge_violation(
     need = comb(r - 1, h.k - 1) - slack
     alive = int("".join("01"[d >= need] for d in reversed(h.degrees)), 2)
     pairs = _PairMatrices(h.links, h.n, comb(r - 2, h.k - 2), slack)
-    found = _complete(pairs, h.k, r, (),
+    # the empty prefix has one 0-subset, the empty mask
+    found = _complete(pairs, r, (), [[], [0], *[[]] * (h.k - 2)],
                       [alive] * (slack + 1), alive & (1 << h.n - r + 1) - 1)
     if found is None:
         return None

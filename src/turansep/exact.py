@@ -292,13 +292,17 @@ def turan_number(
     incumbent that meets the KNS cap (closed=True); otherwise the best
     lower bound found so far is returned with exhausted=False.  The
     witness is the lexicographically smallest optimal edge list.  The
-    budget bounds each search of the ladder separately.
+    budget bounds each search of the ladder separately.  OverflowError is
+    raised, before any search, when C(n, k) exceeds sys.maxsize, the most
+    candidate edges a list can index.
     """
     if budget <= 0:
         raise ParameterError(f"budget must be positive, got {budget}")
     if n < 0:
         raise ParameterError(f"vertex count must be >= 0, got n={n}")
     k = f.k
+    if comb(n, k) > sys.maxsize:
+        raise OverflowError(f"C({n}, {k}) candidate edges exceed the index range")
     # upper bounds ex(m-1, F) for the next m; ex(m, F) = C(m, k) while F
     # does not fit on m vertices
     upper = comb(max(min(n, f.n) - 1, 0), k)

@@ -463,6 +463,15 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
             assert err == "error: need v(F) > k, got v(F)=3, k=3\n", argv
     assert sorted(f.name for f in tmp_path.iterdir()) == [
         "binary.hg", "edgeless.hg", "k4_free.hg", "oversized.hg", "triangle.hg"]
+    # C(n, 3) candidate edges beyond the index range of the machine, which
+    # once stepped through about 10^11 ladder levels; run in a child with a
+    # timeout, so that a hang fails the test rather than stalls it
+    env = {**os.environ, "PYTHONPATH": str(Path(turansep.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "turansep.cli", "turan", "99999999999", "K:4,3",
+         "--budget", "1"], capture_output=True, text=True, env=env, timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: a number in the input is too large for this command\n"
     # condition 2, unlike condition 1, holds for it vacuously
     code, out = invoke(capsys, "condition2", "D:1,3", str(edgeless), "--json")
     assert code == 0 and json.loads(out)["condition2"]["holds"] is True

@@ -5,9 +5,13 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import blown
+from turansep import constructions
 from turansep.constructions import (
     ALLOWED_PART_TRIPLES,
     BlowupSpec,
@@ -23,7 +27,7 @@ from turansep.constructions import (
     six_part_with_breakdown,
 )
 from turansep.embed import is_free, spanned_edge_violation
-from turansep.errors import ParameterError
+from turansep.errors import ConsistencyError, ParameterError
 from turansep.exact import random_maximal_free
 from turansep.hypergraph import (
     FamilySpec,
@@ -208,6 +212,45 @@ def test_six_part_layers_disjoint_random_sizes():
         h = six_part_h(p)
         assert h.edge_count == sum(six_part_breakdown(p).values())
         assert six_part_with_breakdown(p) == (h, six_part_breakdown(p))
+
+
+def test_six_part_overlapping_layers_raise():
+    # a pair-in-y edge copied into the last layer: the one sort of all the
+    # layers meets it twice, and the message names the later layer
+    layers = constructions._six_part_layers
+    p = SixPartParams((2, 2, 3, 2, 2, 3))
+
+    def overlapping(params):
+        out = layers(params)
+        out["bipartite_g"] = out["bipartite_g"] + out["pair_in_y"][:1]
+        return out
+
+    with mock.patch.object(constructions, "_six_part_layers", overlapping):
+        with pytest.raises(ConsistencyError,
+                           match="^layer bipartite_g overlaps an earlier layer$"):
+            six_part_with_breakdown(p)
+
+
+@st.composite
+def _patterns_over_ranges(draw):
+    # consecutive, ascending part ranges from any start, and a pattern that
+    # may name a part more than once, in any order
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    start = draw(st.integers(0, 3))
+    parts = constructions._consecutive(start, sizes)
+    pattern = draw(st.lists(st.integers(0, len(parts) - 1), min_size=1, max_size=5))
+    return tuple(pattern), parts
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_patterns_over_ranges())
+def test_blown_matches_per_edge_sorting_oracle(case):
+    pattern, parts = case
+    edges = constructions._blown(pattern, parts)
+    assert sorted(edges) == sorted(blown(pattern, parts))
+    assert all(all(a < b for a, b in zip(e, e[1:])) for e in edges)
+    # one sorted run, as the builders' single sort expects
+    assert edges == sorted(edges)
 
 
 def test_six_part_five_set_case_analysis():

@@ -407,6 +407,27 @@ def test_scan_violations_pinned_at_benchmark_size():
     assert spanned_edge_violation(iterated_blowup_s6(36), 5, 8) is None
 
 
+def test_count_cut_skips_short_prefixes():
+    # the six-part host relabelled by the benchmark's seed-1 shuffle:
+    # every call's top level holds the r - d vertices its prefix of d still
+    # needs above its last vertex (without the cut 1,690 calls did not)
+    h = six_part_h(SixPartParams((7, 7, 9, 7, 7, 9)))
+    perm = list(range(h.n))
+    random.Random("construction-verify:1:six-part").shuffle(perm)
+    host = from_edges(3, h.n, [[perm[v] for v in e] for e in h.edges])
+    complete, calls, short = embed._complete, [], []
+
+    def counted(pairs, r, prefix, subsets, miss, c):
+        calls.append(prefix)
+        if prefix and (miss[-1] & -(prefix[-1] << 1)).bit_count() < r - len(prefix):
+            short.append(prefix)
+        return complete(pairs, r, prefix, subsets, miss, c)
+
+    with mock.patch.object(embed, "_complete", counted):
+        assert spanned_edge_violation(host, 5, 8) is None
+    assert calls and not short
+
+
 def test_generic_scan_path_k4():
     # the first 5-set of K6(4)- avoids the missing edge (2,3,4,5) and so
     # is complete

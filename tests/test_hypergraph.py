@@ -4,8 +4,9 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from oracles import check_edge_list
 from turansep.errors import ParameterError, ParseError
 from turansep.hypergraph import (
     FamilySpec,
@@ -248,3 +249,57 @@ def test_links_match_combinations_oracle(h):
             key = sum(1 << u for u in t)
             naive[key] = naive.get(key, 0) | 1 << v
     assert h.links == naive
+
+
+def _error(check, k, n, edges):
+    """The text of the ParameterError that check(k, n, edges) raises, or
+    None when it raises none."""
+    try:
+        check(k, n, edges)
+    except ParameterError as exc:
+        return str(exc)
+    return None
+
+
+# each takes a canonical edge list over [n], with at least two edges, and
+# an index into it, and gives the list with that one defect
+_DEFECTS = {
+    "short edge": lambda es, n, i: es[:i] + [es[i][:-1]] + es[i + 1:],
+    "long edge": lambda es, n, i: es[:i] + [(*es[i], es[i][-1] + 1)] + es[i + 1:],
+    "repeated vertex": lambda es, n, i: es[:i] + [es[i][:1] + es[i][:-1]] + es[i + 1:],
+    "descending vertex": lambda es, n, i: es[:i] + [es[i][::-1]] + es[i + 1:],
+    "vertex below 0": lambda es, n, i: [(-1,) + es[0][1:]] + es[1:],
+    "vertex at n": lambda es, n, i: es[:-1] + [es[-1][:-1] + (n,)],
+    "swapped edges": lambda es, n, i: es[:i] + [es[i + 1], es[i]] + es[i + 2:],
+    "duplicate": lambda es, n, i: es[:i + 1] + es[i:],
+}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(hypergraphs(max_n=9, ks=(2, 3, 4, 5)), st.sampled_from(sorted(_DEFECTS)),
+       st.data())
+def test_validation_messages_match_per_edge_oracle(h, defect, data):
+    # the column check accepts every canonical list, and on a list with one
+    # defect it names the fault in the per-edge loop's words
+    k, n, edges = h.k, h.n, list(h.edges)
+    assert _error(check_edge_list, k, n, h.edges) is None
+    assert Hypergraph(k, n, h.edges) == h
+    if len(edges) < 2:
+        return
+    i = data.draw(st.integers(0, len(edges) - 2))
+    bad = tuple(_DEFECTS[defect](edges, n, i))
+    message = _error(check_edge_list, k, n, bad)
+    assert message is not None
+    assert _error(Hypergraph, k, n, bad) == message
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 8), st.data())
+def test_validation_matches_per_edge_oracle_on_any_list(k, n, data):
+    # short and long edges, vertices out of range, any order: accepted
+    # exactly when the oracle accepts, and otherwise with its message
+    edge = st.lists(st.integers(-1, n), min_size=k - 1, max_size=k + 1).map(tuple)
+    edges = tuple(data.draw(st.lists(edge, max_size=6)))
+    if data.draw(st.booleans()):
+        edges = tuple(sorted(edges))
+    assert _error(Hypergraph, k, n, edges) == _error(check_edge_list, k, n, edges)
