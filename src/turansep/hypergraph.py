@@ -10,8 +10,9 @@ Text format (producible/consumable by every CLI command):
   line 1: ``k n``; each following non-comment line: k vertex indices.
   Lines starting with ``#`` and blank lines are ignored.  Edges need not be
   pre-sorted but duplicates are rejected.  ``parse`` only splits lines
-  into integers; the edges are validated once, by the ``Hypergraph``
-  constructor.
+  into integers; a canonical file's edges are validated once, by the
+  ``Hypergraph`` constructor, and only a file it rejects is sorted and
+  built again.
 """
 
 from __future__ import annotations
@@ -287,9 +288,12 @@ def serialize(h: Hypergraph) -> str:
 def parse(text: str) -> Hypergraph:
     """Parse the text format; see the module docstring for its grammar.
 
-    Each line is split once and read as integers; repeated vertices, range
-    and duplicates are left to the one validating pass of the constructor.
-    Only when parsing fails are the lines walked again, by
+    Each line is split once and read as a tuple of integers, in file
+    order.  A canonical file (as :func:`serialize` writes it) is validated
+    once, by the constructor, and never sorted; only when the constructor
+    rejects the rows are the edges and the list sorted and built again, so
+    any order of lines and of vertices within a line parses to the same
+    graph.  Only when that fails too are the lines walked again, by
     :func:`_line_error`, to name the first faulty one.
     """
     rows = (r for r in map(str.split, text.splitlines()) if r and r[0][0] != "#")
@@ -298,8 +302,11 @@ def parse(text: str) -> Hypergraph:
         raise ParseError("missing 'k n' header line")
     try:
         k, n = map(int, header)
-        edges = sorted([tuple(sorted(map(int, r))) for r in rows])
-        return Hypergraph(k, n, tuple(edges))
+        edges = tuple([tuple(map(int, r)) for r in rows])
+        try:
+            return Hypergraph(k, n, edges)
+        except ParameterError:
+            return Hypergraph(k, n, tuple(sorted([tuple(sorted(e)) for e in edges])))
     except (ValueError, ParameterError) as exc:
         raise ParseError(_line_error(text) or str(exc)) from None
 

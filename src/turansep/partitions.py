@@ -19,6 +19,16 @@ function of (seed, trial index), so trials are schedule-independent.
 ``expectation_check`` re-seeds one generator per call with each trial's
 seed, which draws the same parts as ``sample_parts`` with that seed, and
 reads the draw in chunks of s, unsorted, without validating them.
+
+Both draw through ``_draw``, which returns the picks of
+``random.Random(seed).sample(range(n), m)`` without the per-call overhead
+of ``sample`` (a sequence check, the population list, a method call per
+index).  It calls the generator's ``getrandbits`` exactly as CPython
+3.11's ``sample`` and ``_randbelow`` do: the same regime, chosen by the
+same float expression; each index drawn with as many bits as its bound
+has and redrawn while out of range; then a pool swap, or a redraw of an
+index already picked.  The same bits in the same order give the same
+picks, so every report stays as it was.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, perm
+from math import ceil, factorial, log, perm
 from typing import Iterable, Sequence
 
 from .errors import ParameterError
@@ -79,9 +89,39 @@ def crossing_probability(n: int, k: int, t0: int) -> Fraction:
 def sample_parts(n: int, k: int, t0: int, seed) -> BalancedParts:
     """Uniform ordered choice of k disjoint s-sets, deterministic per seed."""
     s = _validate(n, k, t0)
-    draw = random.Random(seed).sample(range(n), k * s)
+    draw = _draw(random.Random(seed), n, k * s)
     return BalancedParts(
         tuple([tuple(sorted(draw[i:i + s])) for i in range(0, k * s, s)]))
+
+
+def _draw(rng: random.Random, n: int, m: int) -> list[int]:
+    """The picks of ``rng.sample(range(n), m)``, for 0 <= m <= n, drawn
+    from the same ``getrandbits`` calls."""
+    getrandbits = rng.getrandbits
+    # sample's own cutoff, float log included: a pool of n indices when
+    # it is smaller than a set of m
+    if n <= 21 + (4 ** ceil(log(3 * m, 4)) if m > 5 else 0):
+        # partial Fisher-Yates: the unpicked indices are pool[:i]
+        pool = list(range(n))
+        picks = []
+        for i in range(n, n - m, -1):
+            bits = i.bit_length()
+            j = getrandbits(bits)
+            while j >= i:
+                j = getrandbits(bits)
+            picks.append(pool[j])
+            pool[j] = pool[i - 1]
+        return picks
+    # redraw an index out of range or already picked; a dict keeps the
+    # picks in order
+    bits = n.bit_length()
+    picked: dict[int, None] = {}
+    for _ in range(m):
+        j = getrandbits(bits)
+        while j >= n or j in picked:
+            j = getrandbits(bits)
+        picked[j] = None
+    return list(picked)
 
 
 def crossing_count(h: Hypergraph, parts: BalancedParts) -> int:
@@ -127,7 +167,7 @@ def expectation_check(
     for i in range(trials):
         # the stream of random.Random(f"{seed}:{i}"), as in sample_parts
         rng.seed(f"{seed}:{i}")
-        draw = rng.sample(range(n), k * s)
+        draw = _draw(rng, n, k * s)
         values.append(_count(rows, [draw[j:j + s] for j in starts]))
     mean = sum(values) / trials
     if trials > 1:

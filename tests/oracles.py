@@ -1,9 +1,17 @@
 """Slow reference paths that the tests check the library against."""
 
+import random
 from itertools import chain, combinations, product
 from operator import lt
 
-from turansep.errors import ParameterError
+from turansep.errors import ParameterError, ParseError
+from turansep.hypergraph import Hypergraph, _line_error
+from turansep.partitions import (
+    BalancedParts,
+    ExpectationReport,
+    crossing_count,
+    crossing_probability,
+)
 
 
 def enumerate_balanced_parts(n, k, t0):
@@ -45,3 +53,37 @@ def check_edge_list(k, n, edges):
     if not all(map(lt, edges, edges[1:])):
         bad = next(b for a, b in zip(edges, edges[1:]) if a >= b)
         raise ParameterError(f"edge list not strictly sorted at {bad}")
+
+
+def parse_sorting(text):
+    """The text format parsed by sorting every edge and then the edge list
+    before the one validating build."""
+    rows = (r for r in map(str.split, text.splitlines()) if r and r[0][0] != "#")
+    header = next(rows, None)
+    if header is None:
+        raise ParseError("missing 'k n' header line")
+    try:
+        k, n = map(int, header)
+        edges = sorted([tuple(sorted(map(int, r))) for r in rows])
+        return Hypergraph(k, n, tuple(edges))
+    except (ValueError, ParameterError) as exc:
+        raise ParseError(_line_error(text) or str(exc)) from None
+
+
+def expectation_by_sample(h, t0, trials, seed):
+    """The expectation report from trial i's parts drawn by
+    ``random.Random(f"{seed}:{i}").sample`` and counted by one public
+    crossing_count call each."""
+    n, k = h.n, h.k
+    s = n // t0
+    values = []
+    for i in range(trials):
+        draw = random.Random(f"{seed}:{i}").sample(range(n), k * s)
+        parts = BalancedParts(tuple(tuple(draw[j:j + s]) for j in range(0, k * s, s)))
+        values.append(crossing_count(h, parts))
+    exact = h.edge_count * crossing_probability(n, k, t0)
+    mean = sum(values) / trials
+    var = sum((v - mean) ** 2 for v in values) / (trials - 1) if trials > 1 else 0.0
+    stderr = (var / trials) ** 0.5
+    z = (mean - float(exact)) / stderr if stderr > 0 else 0.0
+    return ExpectationReport(mean, exact, z)

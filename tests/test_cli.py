@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import turansep
+from host_files import host_texts
 from turansep.cli import parse_family_token, run
 from turansep.criteria import verify_counterexample
 from turansep.embed import Embedding, is_free, validate_embedding
@@ -341,6 +342,36 @@ def test_crossing_report_pinned(tmp_path, capsys, monkeypatch):
                            "7", "--threads", threads, "--json")
         assert code == 0
         assert out == PINNED_CROSSING_REPORT
+
+
+# Three parts of one vertex on 24 vertices: the draw past random.sample's
+# pool cutoff, which keeps a set of the picks.  The host holds about half
+# of all triples, so each trial counts 0 or 1 edges and the mean follows
+# the parts drawn: the same seeds drawn from a pool give mean 0.48.
+PINNED_SET_REGIME_CROSSING_REPORT = """{
+  "command": "crossing",
+  "crossing_probability": "1/2024",
+  "empirical_mean": 0.46,
+  "exact_expectation": "125/253",
+  "host": "r24.hg",
+  "seed": 11,
+  "t0": 24,
+  "trials": 300,
+  "version": "0.1.0",
+  "z_score": -1.1820791116862999
+}
+"""
+
+
+def test_set_regime_crossing_report_pinned(tmp_path, monkeypatch):
+    rng = random.Random(24)
+    h = from_edges(3, 24, rng.sample(list(combinations(range(24), 3)), 1000))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r24.hg").write_text(serialize(h))
+    for threads in ("1", "8"):
+        argv = ["crossing", "r24.hg", "--t0", "24", "--trials", "300", "--seed",
+                "11", "--threads", threads, "--json"]
+        assert _run_captured(argv) == (0, PINNED_SET_REGIME_CROSSING_REPORT, "")
 
 
 def test_reused_parser_matches_fresh_processes(tmp_path, capsys, monkeypatch):
@@ -710,6 +741,10 @@ _REPORTS = Path(__file__).parent / "reports"
                      "--seed", "7"], 0),
     ("crossing_K12", ["crossing", "K:12,3", "--t0", "4", "--trials", "50",
                       "--seed", "3"], 0),
+    # three parts of one vertex on 24: the draw past random.sample's pool
+    # cutoff, which keeps a set of the picks
+    ("crossing_K24_set", ["crossing", "K:24,3", "--t0", "24", "--trials", "50",
+                          "--seed", "11"], 0),
 ])
 def test_reports_pinned(name, argv, code, fmt, threads):
     expected = (_REPORTS / f"{name}.{fmt}").read_text()
@@ -837,6 +872,19 @@ def test_cli_fuzz_exit_contract(case):
         _check_file_family(argv)
         if argv[0] in ("free-check", "contains"):
             _check_file_family(argv, 1)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(host_texts(ks=st.sampled_from([3, 3, 2, 4])))
+def test_host_file_fuzz_exit_contract(text):
+    # valid, reordered, reformatted and faulty host files: each command
+    # exits 0-3 with at most one error line and no traceback
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("TURANSEP_SEED", None)
+        path = Path(tmp) / "host.hg"
+        path.write_bytes(text.encode())
+        _check_exit_contract(["free-check", str(path), "K:4,3"])
+        _check_exit_contract(["crossing", str(path), "--t0", "3", "--trials", "50"])
 
 
 def _params(draw, count, top=3):

@@ -2,11 +2,14 @@
 
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import check_edge_list
+from host_files import host_texts
+from oracles import check_edge_list, parse_sorting
+from turansep import hypergraph
 from turansep.errors import ParameterError, ParseError
 from turansep.hypergraph import (
     FamilySpec,
@@ -237,6 +240,39 @@ def test_parse_round_trip_shuffled_reversed(h, data):
         body.insert(data.draw(st.integers(0, len(body))), extra)
     text = "\n".join([f"{h.k} {h.n}"] + body) + "\n"
     assert parse(text) == h
+
+
+def _parsed(parser, text):
+    """The graph parser reads from text, or the message of its ParseError."""
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.one_of(host_texts(), st.text("0123456789 \t\r\n#+-x", max_size=40)))
+@example("3 5\r\n+02\t1 0\r\n\r\n# c\r\n0 3 04")
+@example("3 5\n0 1 2\n0 1 2\n")
+@example("3 5\n0 1 2\n0 1\n")
+@example("1 3\n2\n0\n")
+@example("3 -1\n")
+@example("# only a comment\n")
+def test_parse_matches_sorting_oracle(text):
+    # the same graph, or the same error message, as sorting every file
+    assert _parsed(parse, text) == _parsed(parse_sorting, text)
+
+
+@given(hypergraphs())
+def test_parse_builds_canonical_file_once(h):
+    # a serialized graph is validated by one constructor check; the same
+    # edges in reverse order fail it, and are sorted and checked again
+    with mock.patch.object(hypergraph, "_canonical", wraps=hypergraph._canonical) as check:
+        assert parse(serialize(h)) == h
+        assert check.call_count == 1
+        lines = serialize(h).splitlines()
+        assert parse("\n".join(lines[:1] + lines[:0:-1])) == h
+        assert check.call_count == (3 if h.edge_count > 1 else 2)
 
 
 @given(hypergraphs())

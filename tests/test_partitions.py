@@ -1,5 +1,6 @@
 """Balanced part sampling and the crossing-edge expectation identity."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -11,14 +12,14 @@ from turansep.errors import ParameterError
 from turansep.hypergraph import FamilySpec, Hypergraph, build_named, from_edges
 from turansep.partitions import (
     BalancedParts,
-    ExpectationReport,
+    _draw,
     crossing_count,
     crossing_probability,
     expectation_check,
     sample_parts,
 )
 
-from oracles import enumerate_balanced_parts
+from oracles import enumerate_balanced_parts, expectation_by_sample
 
 
 def K(ell, k):
@@ -162,36 +163,75 @@ def test_incidence_matches_edge_scan_oracle(case):
                            for v in range(h.n)]
 
 
-def _expectation_oracle(h, t0, trials, seed):
-    """The report from one public sample_parts/crossing_count call per trial."""
-    values = [crossing_count(h, sample_parts(h.n, h.k, t0, f"{seed}:{i}"))
-              for i in range(trials)]
-    exact = h.edge_count * crossing_probability(h.n, h.k, t0)
-    mean = sum(values) / trials
-    var = sum((v - mean) ** 2 for v in values) / (trials - 1) if trials > 1 else 0.0
-    stderr = (var / trials) ** 0.5
-    z = (mean - float(exact)) / stderr if stderr > 0 else 0.0
-    return ExpectationReport(mean, exact, z)
-
-
 @st.composite
 def _trial_cases(draw):
     k = draw(st.integers(2, 4))
-    n = draw(st.integers(k, 12))
-    t0 = draw(st.sampled_from([t for t in range(k, n + 1) if n % t == 0]))
-    cand = list(combinations(range(n), k))
+    if draw(st.booleans()):
+        n = draw(st.integers(k, 12))
+        t0 = draw(st.sampled_from([t for t in range(k, n + 1) if n % t == 0]))
+        cand = list(combinations(range(n), k))
+        most = len(cand)
+    else:
+        # parts of one vertex on up to 30: past 21 vertices random.sample
+        # keeps a set of the picks, not a pool; at most 200 edges keep the
+        # host quick to build
+        n = t0 = draw(st.integers(k, 30))
+        cand = list(combinations(range(n), k))
+        most = min(len(cand), 200)
     rng = random.Random(draw(st.integers(0, 2**32)))
-    h = from_edges(k, n, rng.sample(cand, rng.randint(0, len(cand))))
+    h = from_edges(k, n, rng.sample(cand, rng.randint(0, most)))
     return h, t0, draw(st.integers(1, 30)), draw(st.integers(-2**40, 2**40))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_trial_cases())
+# three parts of two vertices on 86 vertices: the set regime with m = 6
+@example((from_edges(3, 86, [(0, 1, 2), (3, 50, 85), (10, 20, 30)]), 43, 40, 5))
+@example((K(22, 3), 22, 30, -1))
 def test_expectation_check_matches_per_trial_oracle(case):
     # the floats are compared exactly: the loop must draw the same parts
     # and sum the same counts in the same order
     h, t0, trials, seed = case
-    assert expectation_check(h, t0, trials, seed) == _expectation_oracle(h, t0, trials, seed)
+    assert expectation_check(h, t0, trials, seed) == expectation_by_sample(h, t0, trials, seed)
+
+
+def _sample_cutoff(m):
+    """The largest n for which random.sample(range(n), m) keeps a pool."""
+    return 21 + (4 ** math.ceil(math.log(3 * m, 4)) if m > 5 else 0)
+
+
+@st.composite
+def _draw_cases(draw):
+    m = draw(st.integers(0, 40))
+    cutoff = _sample_cutoff(m)
+    # about half the cases on each side of sample's cutoff
+    if draw(st.booleans()):
+        n = draw(st.integers(max(m, 1), max(m, cutoff)))
+    else:
+        n = draw(st.integers(max(m, cutoff + 1), cutoff + 60))
+    return n, m, draw(st.one_of(st.integers(-2**70, 2**70), st.text(max_size=8)))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_draw_cases())
+@example((21, 5, 0))   # the pool regime's largest n for m <= 5
+@example((22, 5, 0))   # the set regime's smallest
+@example((22, 1, "x"))
+@example((21, 2, 3))
+@example((85, 6, 1))   # the same edge for m = 6
+@example((86, 6, 1))
+@example((1, 1, 0))    # m = 1
+@example((500, 1, 4))
+@example((30, 30, 2))  # m = n, which always keeps a pool
+@example((90, 90, 2))
+@example((8, 0, 0))    # nothing drawn
+@example((64, 16, 9))  # a power of two bounds the draws
+def test_draw_matches_random_sample(case):
+    # the same picks and the same generator state afterwards
+    n, m, seed = case
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert _draw(ours, n, m) == theirs.sample(range(n), m)
+    assert ours.getstate() == theirs.getstate()
 
 
 def test_expectation_exact_on_complete_graph():
