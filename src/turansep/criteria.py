@@ -168,7 +168,9 @@ def check_condition2(f: Hypergraph, f_sub: Hypergraph) -> Condition2Result:
                 and sum(not e & part_mask for e in edge_masks) >= f_sub.edge_count
                 and embed._extend(tree, f.links, [], full ^ part_mask))
 
-    part_masks = [0] * k
+    # labels stay at m or below, so the parts past m + 1 stay empty; when
+    # k > m + 2, part m + 1 is empty too and every partition passes
+    part_masks = [0] * min(k, m + 2)
     labels = [0] * m
     checked = 0
 
@@ -193,7 +195,9 @@ def check_condition2(f: Hypergraph, f_sub: Hypergraph) -> Condition2Result:
         return True
 
     try:
-        holds = enumerate_from(0, 0)
+        # one call per vertex, and at its foot the copy search of F'
+        with embed._deeper(m + f_sub.n):
+            holds = enumerate_from(0, 0)
     finally:
         # enumerate_from refers to itself through its closure; without this
         # the cycle keeps the cache of contained_after_removing alive until

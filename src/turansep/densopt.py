@@ -83,19 +83,13 @@ class Quad:
         return float(self.a) + float(self.b) * self.d ** 0.5
 
     def is_positive(self) -> bool:
-        """Exact sign test of a + b*sqrt(d) > 0."""
-        if self.b == 0:
-            return self.a > 0
-        if self.a == 0:
-            return self.b > 0
-        if self.a > 0 and self.b > 0:
-            return True
-        if self.a < 0 and self.b < 0:
-            return False
-        # opposite signs: compare a^2 with b^2 d on the dominant side
-        if self.a > 0:
-            return self.a * self.a > self.b * self.b * self.d
-        return self.a * self.a < self.b * self.b * self.d
+        """Exact sign test of a + b*sqrt(d) > 0.
+
+        x|x| is odd and increasing, so a > -b*sqrt(d) exactly when
+        a|a| > -(b*sqrt(d))|b*sqrt(d)| = -b|b|d.
+        """
+        a, b = self.a, self.b
+        return a * abs(a) + b * abs(b) * self.d > 0
 
     def __lt__(self, other: "Quad") -> bool:
         return (other - self).is_positive()

@@ -12,6 +12,10 @@ is), tried lowest first.  The images are kept as vertex bits, so each key
 is the OR of k-1 of them and no tuple is built or sorted.  The same
 routine, ``_extend``, serves the greedy ``exact.random_maximal_free`` and
 condition (2), run there on F's links over the vertices outside a part.
+The copy search and the scan below recurse once per vertex they place,
+so each runs under ``_deeper``, which raises the recursion limit by that
+depth: a target of a thousand vertices or more gets its verdict, not a
+RecursionError.
 
 The r-subset scan has one code path for every uniformity k.  An r-subset
 violates the threshold when it misses at most the slack C(r, k) -
@@ -22,13 +26,19 @@ left, the mask of vertices lying in all but at most j of the links of its
 (k-1)-subsets.  The last of those masks gives the candidates for the next
 vertex, and a child folds in only the links through its new vertex, each
 keyed by a (k-2)-subset mask of the prefix ORed with the new vertex's bit.
-Those masks are handed down, each child adding its new bit to the
-prefix's smaller subsets, and are not enumerated again per prefix.  Only
-vertices of degree at least C(r-1, k-1) - slack take part: a vertex of a
-violating r-subset lies in all but at most the slack of the C(r-1, k-1)
-k-subsets of the subset through it.  A count cut skips a child that
-needs m more vertices and holds fewer than m in its last mask above its
-new vertex, as every vertex still to come lies there.
+Only vertices of degree at least C(r-1, k-1) - slack take part: a vertex
+of a violating r-subset lies in all but at most the slack of the
+C(r-1, k-1) k-subsets of the subset through it.  A count cut skips a
+child that needs m more vertices and holds fewer than m in its last mask
+above its new vertex, as every vertex still to come lies there.
+
+Each prefix is handed one list, the masks of its (k-2)-subsets.  A
+child's list is the prefix's, plus the prefix's (k-3)-subsets ORed with
+the new bit; those are listed once per prefix, when its first child
+passes the count cut, so a prefix whose children are all cut lists none.
+Lists of every smaller size, handed down as well, would grow as 2^d
+with the prefix's size d once k nears r; kept that way, the scan of
+K:31,30 against itself ran out of a 1.5 GB address space.
 
 A prefix of r - 2 vertices decides its last two vertices at once, on
 pair matrices: pair (x, y) of [n] sits at bit s·x + y, s being n + 1
@@ -58,9 +68,12 @@ structure alone (``threshold_free_params``).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import sys
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from math import comb
 
 from .errors import ParameterError
@@ -87,6 +100,25 @@ def validate_embedding(h: Hypergraph, f: Hypergraph, emb: Embedding) -> bool:
 def _vertex_order(f: Hypergraph) -> list[int]:
     # descending degree, index as tie-break; standard static ordering
     return sorted(range(f.n), key=lambda v: (-f.degrees[v], v))
+
+
+@contextmanager
+def _deeper(depth: int) -> Iterator[None]:
+    """Room for depth more nested calls: the recursion limit is raised by
+    depth for the block and then restored.
+
+    The copy search, the subset scan, condition 2's enumeration and the
+    exact search recurse once per vertex or edge they place, so a target
+    of more than about a thousand vertices would pass the default limit.
+    CPython >= 3.11 makes Python-to-Python calls without the C stack, so
+    only the limit binds.
+    """
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + depth)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _step_lists(edges: Iterable[tuple[int, ...]],
@@ -162,8 +194,9 @@ def contains(h: Hypergraph, f: Hypergraph) -> Embedding | None:
         return None
     pos, tree = _compile(f)
     phi: list[int] = []
-    if not _extend(tree, h.links, phi, (1 << h.n) - 1):
-        return None
+    with _deeper(f.n):
+        if not _extend(tree, h.links, phi, (1 << h.n) - 1):
+            return None
     return Embedding(tuple(phi[pos[v]].bit_length() - 1 for v in range(f.n)))
 
 
@@ -277,23 +310,25 @@ def _pair_found(pairs: _PairMatrices, subs: list[int], miss: list[int],
     return False
 
 
-def _complete(pairs: _PairMatrices, r: int, prefix: tuple[int, ...],
-              subsets: list[list[int]], miss: list[int],
+def _complete(pairs: _PairMatrices, k: int, r: int, prefix: tuple[int, ...],
+              subs: list[int], miss: list[int],
               c: int) -> tuple[tuple[int, ...], int] | None:
     """Lex-first completion of prefix to an r-subset missing at most the
     slack in k-subsets, as (subset, slack left over), or None.
 
-    prefix and the subset hold vertex bits (1 << u for vertex u), and
-    subsets[i] the masks of the prefix's (i-1)-subsets for i < k: [] for
-    i = 0, [0] for i = 1, and the (k-2)-subsets last.  len(miss) - 1 is
-    the slack the prefix leaves, and miss[j] holds the vertices w for
-    which adding w misses at most j more k-subsets: w lies in all but at
-    most j of the links of the prefix's (k-1)-subsets.  c holds the
-    candidates for the next vertex: miss[-1] cut to the vertices above the
-    prefix that leave room for the rest.  A child keeps the levels within
-    its own slack and folds in the links of the (k-1)-subsets through its
-    new vertex, each the mask of a (k-2)-subset of the prefix ORed with
-    the new bit.
+    prefix and the subset hold vertex bits (1 << u for vertex u), and subs
+    the masks of the prefix's (k-2)-subsets.  len(miss) - 1 is the slack
+    the prefix leaves, and miss[j] holds the vertices w for which adding w
+    misses at most j more k-subsets: w lies in all but at most j of the
+    links of the prefix's (k-1)-subsets.  c holds the candidates for the
+    next vertex: miss[-1] cut to the vertices above the prefix that leave
+    room for the rest.  A child keeps the levels within its own slack and
+    folds in the links of the (k-1)-subsets through its new vertex, each
+    the mask of a (k-2)-subset of the prefix ORed with the new bit.  Its
+    own (k-2)-subsets are the prefix's and the prefix's (k-3)-subsets with
+    the new bit, the latter listed when the first child passes the count
+    cut: a call that returns at its first candidate, or cuts every child,
+    lists none.
 
     Two cuts act on a child before it is called.  The count cut: a child
     of d + 1 vertices needs r - d - 1 more from its top level above its
@@ -307,11 +342,11 @@ def _complete(pairs: _PairMatrices, r: int, prefix: tuple[int, ...],
     for the reason _extend gives.
     """
     d, slack, n = len(prefix), len(miss) - 1, pairs.n
-    subs = subsets[-1]
     # the vertex after v lies above it and leaves room for r - d - 2 more
     room = (1 << n - r + d + 2) - 1
     need, least = r - d - 1, pairs.least
     get = pairs.links.get
+    lows = None
     while c:
         low = c & -c
         c ^= low
@@ -331,15 +366,15 @@ def _complete(pairs: _PairMatrices, r: int, prefix: tuple[int, ...],
         above = child[-1] & -(low << 1)
         if above.bit_count() < need:
             continue
-        # the child's i-subsets: the prefix's, and its (i-1)-subsets with low
-        csubs = subs + [u | low for u in subsets[-2]]
+        if lows is None:
+            # the prefix's (k-3)-subsets; a 2-graph has none
+            lows = list(map(sum, combinations(prefix, k - 3))) if k > 2 else []
+        csubs = subs + [u | low for u in lows]
         cc = above & room
         if (need == 2 and cc.bit_count() >= least[slack - j]
                 and not _pair_found(pairs, csubs, child, cc)):
             continue
-        grown = [[], *(a + [u | low for u in b]
-                       for a, b in zip(subsets[1:-1], subsets)), csubs]
-        found = _complete(pairs, r, prefix + (low,), grown, child, cc)
+        found = _complete(pairs, k, r, prefix + (low,), csubs, child, cc)
         if found:
             return found
     return None
@@ -373,9 +408,10 @@ def spanned_edge_violation(
     need = comb(r - 1, h.k - 1) - slack
     alive = int("".join("01"[d >= need] for d in reversed(h.degrees)), 2)
     pairs = _PairMatrices(h.links, h.n, comb(r - 2, h.k - 2), slack)
-    # the empty prefix has one 0-subset, the empty mask
-    found = _complete(pairs, r, (), [[], [0], *[[]] * (h.k - 2)],
-                      [alive] * (slack + 1), alive & (1 << h.n - r + 1) - 1)
+    # the empty prefix has one 0-subset, the empty mask, and no larger one
+    with _deeper(r):
+        found = _complete(pairs, h.k, r, (), [0] if h.k == 2 else [],
+                          [alive] * (slack + 1), alive & (1 << h.n - r + 1) - 1)
     if found is None:
         return None
     bits, left = found

@@ -134,7 +134,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 
-from .embed import _extend, _step_lists, _step_tree
+from .embed import _deeper, _extend, _step_lists, _step_tree
 from .errors import ParameterError
 from .hypergraph import Hypergraph, _incidence_rows, drop_isolated
 
@@ -457,18 +457,15 @@ def _search(n: int, f: Hypergraph, budget: int, below: int) -> TuranResult:
             # excluding j lowers the degrees of its k vertices alone
             around = cand[j]
 
-    # rec recurses once per included edge; CPython >= 3.11 makes
-    # Python-to-Python calls without the C stack, so only the limit binds
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + len(cand))
     try:
-        # each candidate alone is a copy of a one-edge F, so none is alive
-        # at the root; an F with more edges has no such copy
-        rec((1 << len(cand)) - 1 if f.edge_count > 1 else 0, 0, 0, engine.copies, 0)
+        # rec recurses once per included edge
+        with _deeper(len(cand)):
+            # each candidate alone is a copy of a one-edge F, so none is
+            # alive at the root; an F with more edges has no such copy
+            rec((1 << len(cand)) - 1 if f.edge_count > 1 else 0, 0, 0, engine.copies, 0)
     except _Stop:
         pass
     finally:
-        sys.setrecursionlimit(limit)
         # rec refers to itself through its closure; without this the cycle
         # keeps the index alive until a full collection
         del rec
@@ -502,13 +499,14 @@ def random_maximal_free(n: int, f: Hypergraph, seed: int) -> Hypergraph:
 
     full = (1 << n) - 1
     edges = []
-    for e in cand:
-        bits = [1 << v for v in e]
-        m = sum(bits)
-        if _extend(tree, links, bits, full ^ m):
-            continue
-        edges.append(e)
-        for b in bits:
-            t = m ^ b
-            links[t] = get(t, 0) | b
+    with _deeper(f.n):
+        for e in cand:
+            bits = [1 << v for v in e]
+            m = sum(bits)
+            if _extend(tree, links, bits, full ^ m):
+                continue
+            edges.append(e)
+            for b in bits:
+                t = m ^ b
+                links[t] = get(t, 0) | b
     return Hypergraph(k, n, tuple(sorted(edges)))

@@ -21,14 +21,16 @@ seed, which draws the same parts as ``sample_parts`` with that seed, and
 reads the draw in chunks of s, unsorted, without validating them.
 
 Both draw through ``_draw``, which returns the picks of
-``random.Random(seed).sample(range(n), m)`` without the per-call overhead
-of ``sample`` (a sequence check, the population list, a method call per
-index).  It calls the generator's ``getrandbits`` exactly as CPython
-3.11's ``sample`` and ``_randbelow`` do: the same regime, chosen by the
-same float expression; each index drawn with as many bits as its bound
-has and redrawn while out of range; then a pool swap, or a redraw of an
-index already picked.  The same bits in the same order give the same
-picks, so every report stays as it was.
+``random.Random(seed).sample(range(n), m)``.  Only ``sample``'s pool
+regime is copied, the one the crossing hosts draw in (m = 9 of 12
+vertices, m = 6 of the six-part host's 46), without the per-call
+overhead of ``sample`` (a sequence check, the population list, a method
+call per index).  It calls the generator's ``getrandbits`` exactly as
+CPython 3.11's ``sample`` and ``_randbelow`` do: the regime chosen by
+the same float expression, each index drawn with as many bits as its
+bound has and redrawn while out of range, then a pool swap.  The same
+bits in the same order give the same picks, so every report stays as it
+was.  Past the cutoff, in the set regime, ``_draw`` calls ``sample``.
 """
 
 from __future__ import annotations
@@ -97,10 +99,10 @@ def sample_parts(n: int, k: int, t0: int, seed) -> BalancedParts:
 def _draw(rng: random.Random, n: int, m: int) -> list[int]:
     """The picks of ``rng.sample(range(n), m)``, for 0 <= m <= n, drawn
     from the same ``getrandbits`` calls."""
-    getrandbits = rng.getrandbits
     # sample's own cutoff, float log included: a pool of n indices when
-    # it is smaller than a set of m
+    # it is smaller than a set of m; past it, sample itself
     if n <= 21 + (4 ** ceil(log(3 * m, 4)) if m > 5 else 0):
+        getrandbits = rng.getrandbits
         # partial Fisher-Yates: the unpicked indices are pool[:i]
         pool = list(range(n))
         picks = []
@@ -112,16 +114,7 @@ def _draw(rng: random.Random, n: int, m: int) -> list[int]:
             picks.append(pool[j])
             pool[j] = pool[i - 1]
         return picks
-    # redraw an index out of range or already picked; a dict keeps the
-    # picks in order
-    bits = n.bit_length()
-    picked: dict[int, None] = {}
-    for _ in range(m):
-        j = getrandbits(bits)
-        while j >= n or j in picked:
-            j = getrandbits(bits)
-        picked[j] = None
-    return list(picked)
+    return rng.sample(range(n), m)
 
 
 def crossing_count(h: Hypergraph, parts: BalancedParts) -> int:

@@ -87,3 +87,20 @@ def expectation_by_sample(h, t0, trials, seed):
     stderr = (var / trials) ** 0.5
     z = (mean - float(exact)) / stderr if stderr > 0 else 0.0
     return ExpectationReport(mean, exact, z)
+
+
+def quad_is_positive(q):
+    """The sign of a + b*sqrt(d) by cases: the sign of a or b when the
+    other is zero or shares it, else a^2 against b^2 d on the side of the
+    term with the larger square."""
+    if q.b == 0:
+        return q.a > 0
+    if q.a == 0:
+        return q.b > 0
+    if q.a > 0 and q.b > 0:
+        return True
+    if q.a < 0 and q.b < 0:
+        return False
+    if q.a > 0:
+        return q.a * q.a > q.b * q.b * q.d
+    return q.a * q.a < q.b * q.b * q.d

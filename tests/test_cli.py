@@ -15,6 +15,7 @@ import time
 import tomllib
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from pathlib import Path
 from unittest import mock
 
@@ -759,33 +760,92 @@ def _check_exit_contract(argv):
     assert _run_captured(argv + ["--threads", "8"]) == (code, out, err), argv
 
 
+def _run_capped(argv, cap_mb, check_contract=False):
+    """_run_captured(argv) in a child that caps its own address space at
+    cap_mb MB, so a run that would fill memory fails fast everywhere; with
+    check_contract the child first runs _check_exit_contract(argv)."""
+    child = (
+        "import json, resource, sys\n"
+        "from test_cli import _check_exit_contract, _run_captured\n"
+        f"cap = {cap_mb} << 20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "argv = json.loads(sys.argv[1])\n"
+        + ("_check_exit_contract(argv)\n" if check_contract else "")
+        + "print(json.dumps(_run_captured(argv)))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).parent), str(Path(turansep.__file__).parents[1])])}
+    proc = subprocess.run([sys.executable, "-c", child, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
 @pytest.mark.parametrize("argv", [
     ["free-check", "{huge}", "K:4,3"],
     ["condition2", "K:4,3", "{huge}"],
 ])
 def test_out_of_memory_exits_2(argv, tmp_path):
     # a header of 10^12 vertices: free-check builds a (1 << n) vertex mask
-    # and condition2 a degree list of length n, which cannot fit; the child
-    # caps its own address space so the attempt fails fast everywhere
+    # and condition2 a degree list of length n, which cannot fit
     huge = tmp_path / "huge.hg"
     huge.write_text("3 1000000000000\n")
     argv = [a.format(huge=huge) for a in argv]
-    child = (
-        "import json, resource, sys\n"
-        "from test_cli import _check_exit_contract, _run_captured\n"
-        "cap = 1 << 30\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
-        "argv = json.loads(sys.argv[1])\n"
-        "_check_exit_contract(argv)\n"
-        "print(json.dumps(_run_captured(argv)))\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(__file__).parent), str(Path(turansep.__file__).parents[1])])}
-    proc = subprocess.run([sys.executable, "-c", child, json.dumps(argv)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    code, out, err = json.loads(proc.stdout)
+    code, out, err = _run_capped(argv, 1024, check_contract=True)
     assert (code, out) == (2, "")
     assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, subset, spanned", [
+    (["free-check", "K:31,30", "K:31,30", "--json"], list(range(31)), 31),
+    (["free-check", "D:1,500", "D:1,500", "--json"], list(range(501)), 1),
+])
+def test_scan_near_r_fits_in_512_mb(argv, subset, spanned):
+    # k = r - 1: a prefix of d vertices has subsets of every size up to
+    # k - 2, 2^d in all, and the scan must not hand them all down
+    start = time.monotonic()
+    code, out, err = _run_capped(argv, 512)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["violation"] == {"subset": subset, "spanned": spanned}
+    assert time.monotonic() - start < 30
+
+
+def test_deep_targets_keep_the_exit_contract(tmp_path):
+    # the copy search and the scan recurse once per vertex of F, past the
+    # default recursion limit of 1,000 here
+    matching = tmp_path / "matching.hg"
+    matching.write_text("2 1200\n" + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(600)))
+    code, out, err = _run_captured(["free-check", "K:1050,2", "K:1050,2", "--json"])
+    assert (code, err) == (1, "")
+    assert json.loads(out)["violation"] == {"subset": list(range(1050)),
+                                            "spanned": comb(1050, 2)}
+    m = str(matching)
+    code, out, err = _run_captured(["contains", m, m, "--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["embedding"] == list(range(1200))
+    code, out, err = _run_captured(["free-check", m, m, "--json"])
+    assert (code, err) == (1, "")
+    assert json.loads(out)["violation"] == {"embedding": list(range(1200))}
+
+
+def test_huge_uniformity_without_edges_is_fast(tmp_path):
+    # an edgeless graph with k = 2·10^7: no check, column, format or part
+    # list may take k entries, and condition 2 reads as it does for k = 7
+    huge, small = tmp_path / "huge.hg", tmp_path / "small.hg"
+    huge.write_text("20000000 5\n")
+    small.write_text("7 5\n")
+    start = time.monotonic()
+    code, out, err = _run_captured(["build", str(huge), "--json"])
+    assert (code, err) == (0, "") and json.loads(out)["graph"] == "20000000 5\n"
+    code, out, err = _run_captured(["contains", str(huge), str(huge), "--json"])
+    assert (code, err) == (0, "") and json.loads(out)["embedding"] == list(range(5))
+    reports = [json.loads(_run_captured(["condition2", str(g), str(g), "--json"])[1])
+               for g in (huge, small)]
+    assert reports[0]["condition2"] == reports[1]["condition2"]
+    assert reports[0]["condition2"]["partitions_checked"] == 32
+    code, out, err = _run_captured(["build", "D:1,20000"])
+    assert (code, err) == (0, "") and out.endswith(
+        " ".join(map(str, range(20000))) + "\n")
+    assert time.monotonic() - start < 10
 
 
 def test_wide_parts_crossing_is_fast(tmp_path):

@@ -1,10 +1,13 @@
 """Density polynomial derivation, exact optimization, reference bounds."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import quad_is_positive
 from turansep.constructions import (
     SixPartParams,
     bipartite_g_edge_count,
@@ -43,6 +46,37 @@ def test_quad_exact_sign():
     assert Quad(Fraction(5), Fraction(-1), 17).is_positive()
     assert not Quad(Fraction(4), Fraction(-1), 17).is_positive()
     assert Quad(Fraction(0), Fraction(0), 17) < Quad(Fraction(1), Fraction(0), 17)
+
+
+@st.composite
+def _quads(draw):
+    # near-ties: a within two units of the drawn denominator of
+    # -b*sqrt(d), and for d = 1 exact ties, where the value is zero
+    d = draw(st.sampled_from([1, 2, 3, 5, 17, 277]))
+    b = Fraction(draw(st.integers(-10**6, 10**6)), draw(st.integers(1, 10**3)))
+    scale = draw(st.integers(1, 10**4))
+    root = math.isqrt(d * (b.numerator * scale) ** 2)
+    near = Fraction(-root + draw(st.integers(-2, 2)), b.denominator * scale)
+    if b < 0:
+        near = -near
+    a = draw(st.one_of(st.just(near), st.just(Fraction(0)),
+                       st.fractions(max_denominator=10**3)))
+    return Quad(a, b if draw(st.booleans()) else Fraction(0), d)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_quads())
+@example(Quad(Fraction(-3), Fraction(3), 1))
+@example(Quad(Fraction(3, 2), Fraction(-3, 2), 1))
+@example(Quad(Fraction(0), Fraction(0), 5))
+# sqrt(2) = 1.41421356237...
+@example(Quad(Fraction(-1414213562, 10**9), Fraction(1), 2))
+@example(Quad(Fraction(-1414213563, 10**9), Fraction(1), 2))
+def test_quad_sign_matches_case_oracle(q):
+    assert q.is_positive() == quad_is_positive(q)
+    # a value and its negation are never both positive
+    neg = Quad(-q.a, -q.b, q.d)
+    assert not (q.is_positive() and neg.is_positive())
 
 
 def test_s6_star_limit_density():

@@ -7,7 +7,7 @@ from math import comb
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from turansep import embed
 from turansep.constructions import SixPartParams, iterated_blowup_s6, six_part_h
@@ -241,7 +241,7 @@ def _oracle_violation(h, r, max_edges):
 
 @st.composite
 def _hosts(draw):
-    k = draw(st.integers(2, 5))
+    k = draw(st.integers(2, 7))
     n = draw(st.integers(k, 10))
     cand = list(combinations(range(n), k))
     keep = draw(st.lists(st.booleans(), min_size=len(cand), max_size=len(cand)))
@@ -250,6 +250,13 @@ def _hosts(draw):
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_hosts(), st.integers(0, 10))
+# k = r - 1 at r = n: each prefix hands its children (k-3)-subsets of
+# nearly all of its vertices
+@example(K(8, 7), 0)
+@example(Km(8, 7), 1)
+@example(Km(7, 6), 0)
+@example(build_named(FamilySpec.daisy(3, 6)), 2)
+@example(from_edges(6, 10, [e for e in combinations(range(10), 6) if sum(e) % 3]), 1)
 def test_scan_matches_lex_first_oracle(h, extra):
     links = {}
     for t in combinations(range(h.n), h.k - 1):
@@ -417,11 +424,11 @@ def test_count_cut_skips_short_prefixes():
     host = from_edges(3, h.n, [[perm[v] for v in e] for e in h.edges])
     complete, calls, short = embed._complete, [], []
 
-    def counted(pairs, r, prefix, subsets, miss, c):
+    def counted(pairs, k, r, prefix, subs, miss, c):
         calls.append(prefix)
         if prefix and (miss[-1] & -(prefix[-1] << 1)).bit_count() < r - len(prefix):
             short.append(prefix)
-        return complete(pairs, r, prefix, subsets, miss, c)
+        return complete(pairs, k, r, prefix, subs, miss, c)
 
     with mock.patch.object(embed, "_complete", counted):
         assert spanned_edge_violation(host, 5, 8) is None
