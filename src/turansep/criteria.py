@@ -15,12 +15,16 @@ decides it as ex_upper: the value of an exhausted search, else the cap.
 Condition (2) enumerates vertex assignments as base-k counters (vertex 0
 the most significant digit), keeping each part as a vertex mask.  An
 edge is fully assigned once its last vertex is, so a prefix is cut as
-soon as such an edge's vertex mask misses V_1.  Parts may be empty, and
-a partition with an empty V_j, j >= 2, passes automatically since
-F - ∅ = F ⊇ F'.  Parts 2..k play symmetric roles, so only assignments
-whose non-first labels appear in increasing first-occurrence order are
-enumerated; relabeling parts 2..k keeps a violation, so the first one
-found is the first in base-k order.
+soon as such an edge's vertex mask misses V_1.  Parts 2..k play
+symmetric roles, so only assignments whose non-first labels appear in
+increasing first-occurrence order are enumerated; relabeling parts 2..k
+keeps a violation, so the first one found is the first in base-k order.
+A partition with an empty V_j, j >= 2, passes since F - ∅ = F ⊇ F', and
+the fill rule never enters one: each vertex still to be assigned opens
+at most one new part, so a prefix with more parts among 2..k unopened
+than vertices left holds only passing partitions and is cut.  When
+k - 1 > m no partition fills parts 2..k, and condition (2) holds before
+any part is built.
 F's twins compose with that: vertices u < v are twins when the
 transposition (u v) is an automorphism of F, and swapping the labels of
 twins keeps a violation too.  The first violation in base-k order is
@@ -46,6 +50,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb
 
 from . import embed
@@ -146,10 +151,14 @@ def check_condition2(f: Hypergraph, f_sub: Hypergraph) -> Condition2Result:
     """Evaluate condition (2) for the pair (F, F'); F' ⊆ F is required.
 
     On failure the counterexample is the first violating partition in
-    enumeration order, as a k-tuple of vertex lists.
+    enumeration order, as a k-tuple of vertex lists.  partitions_checked
+    counts the partitions tested, each with parts 2..k non-empty.
     """
     f_sub = _sub_core(f, f_sub)
     m, k = f.n, f.k
+    if k - 1 > m:
+        # no partition fills parts 2..k, so none can violate
+        return Condition2Result(holds=True, counterexample=None, partitions_checked=0)
     # vertices are assigned in index order, so an edge is fully assigned
     # once its last vertex is: ending_at[v] holds the vertex masks of the
     # edges whose last vertex is v
@@ -168,17 +177,19 @@ def check_condition2(f: Hypergraph, f_sub: Hypergraph) -> Condition2Result:
                 and sum(not e & part_mask for e in edge_masks) >= f_sub.edge_count
                 and embed._extend(tree, f.links, [], full ^ part_mask))
 
-    # labels stay at m or below, so the parts past m + 1 stay empty; when
-    # k > m + 2, part m + 1 is empty too and every partition passes
-    part_masks = [0] * min(k, m + 2)
+    part_masks = [0] * k
     labels = [0] * m
     checked = 0
 
     def enumerate_from(v: int, used_labels: int) -> bool:
         nonlocal checked
+        # each of the m - v vertices left opens at most one new part, so
+        # every partition below leaves some part 2..k empty, and passes
+        if k - 1 - used_labels > m - v:
+            return True
         if v == m:
             checked += 1
-            return any(not p or contained_after_removing(p) for p in part_masks[1:])
+            return any(map(contained_after_removing, part_masks[1:]))
         # v in part 1 passes the filter, as the edges ending at v contain v;
         # v in parts 2..k passes only if those edges already meet part 1
         top = min(used_labels + 2, k) if all(
@@ -217,16 +228,21 @@ def _previous_twins(m: int, edge_masks: list[int]) -> list[int]:
     """For each vertex v, the largest u < v such that the transposition
     (u v) is an automorphism of the graph with these edge masks, or -1.
 
-    (u v) fixes the edges holding both or neither of u and v, and swaps
-    the others in pairs that differ by the two bits.  Twins form an
-    equivalence relation, so each vertex's previous twin links its class.
+    (u v) fixes the edges holding both or neither of u and v, and maps an
+    edge e holding u alone to e ^ (1 << u) ^ (1 << v).  So it is an
+    automorphism exactly when the link sets of u and v, the masks
+    e ^ (1 << u) and e ^ (1 << v) of the edges through each, agree once the
+    masks holding the other vertex are dropped; u and v then have equal
+    degrees.  Twins form an equivalence relation, so each vertex's previous
+    twin links its class.
     """
-    edges = set(edge_masks)
+    links = [[e ^ 1 << v for e in edge_masks if e >> v & 1] for v in range(m)]
     twin = [-1] * m
     for v in range(m):
         for u in range(v - 1, -1, -1):
-            uv = 1 << u | 1 << v
-            if all(e ^ uv in edges for e in edges if e & uv not in (0, uv)):
+            if (len(links[u]) == len(links[v])
+                    and {x for x in links[u] if not x >> v & 1}
+                    == {x for x in links[v] if not x >> u & 1}):
                 twin[v] = u
                 break
     return twin
@@ -237,15 +253,8 @@ def verify_counterexample(
 ) -> bool:
     """Independent re-check that a partition really violates condition (2)."""
     m, k = f.n, f.k
-    if len(partition) != k:
-        return False
-    seen: set[int] = set()
-    for part in partition:
-        for v in part:
-            if v < 0 or v >= m or v in seen:
-                return False
-            seen.add(v)
-    if len(seen) != m:
+    # k parts that hold each vertex exactly once
+    if len(partition) != k or sorted(chain(*partition)) != list(range(m)):
         return False
     first = set(partition[0])
     if any(not first.intersection(e) for e in f.edges):

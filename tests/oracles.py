@@ -104,3 +104,19 @@ def quad_is_positive(q):
     if q.a > 0:
         return q.a * q.a > q.b * q.b * q.d
     return q.a * q.a < q.b * q.b * q.d
+
+
+def previous_twins(m, edge_masks):
+    """For each vertex v, the largest u < v whose transposition with v maps
+    the edge masks onto themselves, or -1: each pair tried by a scan over
+    every edge, for one holding exactly one of u and v whose image under
+    (u v) is missing."""
+    edges = set(edge_masks)
+    twin = [-1] * m
+    for v in range(m):
+        for u in range(v - 1, -1, -1):
+            uv = 1 << u | 1 << v
+            if all(e ^ uv in edges for e in edges if e & uv not in (0, uv)):
+                twin[v] = u
+                break
+    return twin

@@ -231,12 +231,12 @@ def test_condition2_reports_pinned(capsys):
     code, out = invoke(capsys, "condition2", "K-:9,5", "K:8,5", "--json")
     assert code == 1
     assert json.loads(out)["condition2"] == {
-        "holds": False, "partitions_checked": 88,
+        "holds": False, "partitions_checked": 9,
         "counterexample_partition": [[4, 5, 6, 7, 8], [0], [1], [2], [3]]}
     code, out = invoke(capsys, "condition2", "K-:9,6", "K:8,6", "--json")
     assert code == 0
     assert json.loads(out)["condition2"] == {
-        "holds": True, "partitions_checked": 180}
+        "holds": True, "partitions_checked": 9}
 
 
 def test_condition1_command(capsys):
@@ -827,9 +827,24 @@ def test_deep_targets_keep_the_exit_contract(tmp_path):
     assert json.loads(out)["violation"] == {"embedding": list(range(1200))}
 
 
+def test_condition2_on_a_wide_matching_is_fast(tmp_path):
+    # 1,200 vertices without twins: the twin finder compares link sets of
+    # equal size, not every edge for every vertex pair
+    matching = tmp_path / "matching.hg"
+    matching.write_text("2 1200\n" + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(600)))
+    start = time.monotonic()
+    code, out, err = _run_captured(["condition2", str(matching), str(matching), "--json"])
+    assert time.monotonic() - start < 3
+    assert (code, err) == (1, "")
+    assert json.loads(out)["condition2"] == {
+        "holds": False, "partitions_checked": 1,
+        "counterexample_partition": [list(range(1199)), [1199]]}
+
+
 def test_huge_uniformity_without_edges_is_fast(tmp_path):
     # an edgeless graph with k = 2·10^7: no check, column, format or part
-    # list may take k entries, and condition 2 reads as it does for k = 7
+    # list may take k entries, and condition 2 reads as it does for k = 7,
+    # where no partition can fill parts 2..k either
     huge, small = tmp_path / "huge.hg", tmp_path / "small.hg"
     huge.write_text("20000000 5\n")
     small.write_text("7 5\n")
@@ -841,7 +856,7 @@ def test_huge_uniformity_without_edges_is_fast(tmp_path):
     reports = [json.loads(_run_captured(["condition2", str(g), str(g), "--json"])[1])
                for g in (huge, small)]
     assert reports[0]["condition2"] == reports[1]["condition2"]
-    assert reports[0]["condition2"]["partitions_checked"] == 32
+    assert reports[0]["condition2"]["partitions_checked"] == 0
     code, out, err = _run_captured(["build", "D:1,20000"])
     assert (code, err) == (0, "") and out.endswith(
         " ".join(map(str, range(20000))) + "\n")

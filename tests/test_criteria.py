@@ -9,8 +9,10 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import previous_twins
 from turansep import embed
 from turansep.criteria import (
+    _previous_twins,
     check_condition1,
     check_condition2,
     de_caen_bound,
@@ -167,6 +169,11 @@ def test_verify_counterexample_rejects_bad_partitions():
     assert not verify_counterexample(f, fs, ((2, 3, 4), (0, 1), ()))
     assert not verify_counterexample(f, fs, ((2, 3, 4), (0,), (0,)))
     assert not verify_counterexample(f, fs, ((2, 3, 4), (0,)))
+    # a vertex missing, one past m - 1, a negative one
+    assert not verify_counterexample(f, fs, ((2, 3), (0,), (1,)))
+    assert not verify_counterexample(f, fs, ((2, 3, 4), (0,), (5,)))
+    assert not verify_counterexample(f, fs, ((2, 3, 4), (0,), (1, -1)))
+    assert verify_counterexample(f, fs, ((2, 3, 4), (0,), (1,)))
 
 
 def test_condition2_named_pairs_match_oracle():
@@ -192,11 +199,29 @@ def test_condition2_time_guard_at_benchmark_size():
     r5 = check_condition2(Km(9, 5), K(8, 5))
     r10 = check_condition2(Km(12, 10), K(11, 10))
     elapsed = time.perf_counter() - start
-    assert (r6.holds, r6.partitions_checked, r6.counterexample) == (True, 180, None)
-    assert (r5.holds, r5.partitions_checked) == (False, 88)
+    assert (r6.holds, r6.partitions_checked, r6.counterexample) == (True, 9, None)
+    assert (r5.holds, r5.partitions_checked) == (False, 9)
     assert r5.counterexample == ((4, 5, 6, 7, 8), (0,), (1,), (2,), (3,))
-    assert (r10.holds, r10.partitions_checked, r10.counterexample) == (True, 2291, None)
+    assert (r10.holds, r10.partitions_checked, r10.counterexample) == (True, 12, None)
     assert elapsed < 2.0
+
+
+def test_condition2_reaches_the_corollary_pairs():
+    # K_{k+2}^{k-} against K_{k+1}^k: the enumeration reaches a leaf only
+    # where parts 2..k are filled, k + 2 leaves in all, and for k = 3 the
+    # missing edge sits in part 1 of the violation
+    start = time.monotonic()
+    for k in range(4, 31):
+        r = check_condition2(Km(k + 2, k), K(k + 1, k))
+        assert (r.holds, r.partitions_checked) == (True, k + 2), k
+    r = check_condition2(Km(5, 3), K(4, 3))
+    assert (r.holds, r.counterexample) == (False, ((2, 3, 4), (0,), (1,)))
+    # the other way round the first leaf that fills parts 2..k violates
+    for ell in (8, 16, 64):
+        r = check_condition2(K(ell, ell - 1), Km(ell, ell - 1))
+        assert (r.holds, r.partitions_checked) == (False, 1), ell
+        assert r.counterexample == ((0, 1),) + tuple((v,) for v in range(2, ell))
+    assert time.monotonic() - start < 10
 
 
 def test_condition2_random_targets_against_oracle():
@@ -269,6 +294,33 @@ def _twins(f):
     return {(u, v) for u, v in combinations(range(f.n), 2)
             if {tuple(sorted({u: v, v: u}.get(w, w) for w in e))
                 for e in edges} == edges}
+
+
+@st.composite
+def _twin_graphs(draw):
+    """A k-graph, k in 2..4, on at most nine vertices: the edges of some
+    class patterns of a random vertex colouring, so that each colour class
+    is a twin class, with up to two edges flipped and up to two isolated
+    vertices added, all under a random relabelling.  Returns the vertex
+    count and the edge masks."""
+    k = draw(st.integers(2, 4))
+    m = draw(st.integers(k, 7))
+    colour = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    cand = list(combinations(range(m), k))
+    patterns = sorted({tuple(sorted(colour[v] for v in e)) for e in cand})
+    kept = {p for p in patterns if draw(st.booleans())}
+    edges = {e for e in cand if tuple(sorted(colour[v] for v in e)) in kept}
+    edges ^= set(draw(st.lists(st.sampled_from(cand), max_size=2)))
+    n = m + draw(st.integers(0, 2))
+    image = draw(st.permutations(range(n)))
+    return n, [sum(1 << image[v] for v in e) for e in sorted(edges)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_twin_graphs())
+def test_previous_twins_match_edge_scan_oracle(graph):
+    n, edge_masks = graph
+    assert _previous_twins(n, edge_masks) == previous_twins(n, edge_masks)
 
 
 def test_condition2_relabelled_twin_classes_match_oracle():
