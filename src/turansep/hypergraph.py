@@ -9,10 +9,15 @@ Conventions used everywhere in this package:
 Text format (producible/consumable by every CLI command):
   line 1: ``k n``; each following non-comment line: k vertex indices.
   Lines starting with ``#`` and blank lines are ignored.  Edges need not be
-  pre-sorted but duplicates are rejected.  ``parse`` only splits lines
-  into integers; a canonical file's edges are validated once, by the
-  ``Hypergraph`` constructor, and only a file it rejects is sorted and
-  built again.
+  pre-sorted but duplicates are rejected.
+
+``parse`` has two tokenizers.  Text in ``serialize``'s exact layout is
+split in line-aligned chunks and its digit tokens read through a table
+that enters each at its first lookup (``_serialized_rows``); any other
+text, or any token that is not digits, is split line by line into
+integers (``_split_rows``).  Both feed one build: a canonical file's
+edges are validated once, by the ``Hypergraph`` constructor, and only a
+file it rejects is sorted and built again.
 """
 
 from __future__ import annotations
@@ -292,27 +297,99 @@ def serialize(h: Hypergraph) -> str:
 def parse(text: str) -> Hypergraph:
     """Parse the text format; see the module docstring for its grammar.
 
-    Each line is split once and read as a tuple of integers, in file
-    order.  A canonical file (as :func:`serialize` writes it) is validated
-    once, by the constructor, and never sorted; only when the constructor
-    rejects the rows are the edges and the list sorted and built again, so
-    any order of lines and of vertices within a line parses to the same
-    graph.  Only when that fails too are the lines walked again, by
-    :func:`_line_error`, to name the first faulty one.
+    The text is read into a header and rows of integers, in file order, by
+    :func:`_serialized_rows` when it is in :func:`serialize`'s exact
+    layout and by :func:`_split_rows` otherwise.  A canonical file is
+    validated once, by the constructor, and never sorted; only when the
+    constructor rejects the rows are the edges and the list sorted and
+    built again, so any order of lines and of vertices within a line
+    parses to the same graph.  Only when that fails too are the lines
+    walked again, by :func:`_line_error`, to name the first faulty one.
     """
-    rows = (r for r in map(str.split, text.splitlines()) if r and r[0][0] != "#")
-    header = next(rows, None)
-    if header is None:
-        raise ParseError("missing 'k n' header line")
     try:
-        k, n = map(int, header)
-        edges = tuple([tuple(map(int, r)) for r in rows])
+        k, n, edges = _serialized_rows(text) or _split_rows(text)
         try:
             return Hypergraph(k, n, edges)
         except ParameterError:
             return Hypergraph(k, n, tuple(sorted([tuple(sorted(e)) for e in edges])))
     except (ValueError, ParameterError) as exc:
         raise ParseError(_line_error(text) or str(exc)) from None
+
+
+# about this many characters of rows are tokenized at a time, so the
+# token lists of a large file are never all held at once
+_CHUNK = 1 << 16
+
+
+def _serialized_rows(text: str) -> tuple[int, int, tuple[tuple[int, ...], ...]] | None:
+    """The header and rows of text when it is in serialize's exact layout
+    (a ``k n`` header, rows of k tokens joined by single spaces, a line
+    feed after every line), or None.
+
+    Rows are read in line-aligned chunks: a chunk's line feeds become
+    tokens of their own, which must sit every k + 1 tokens, and each other
+    token must be digits, read through a :class:`_DigitTokens` table.
+    Such text has the lines, and gives the integers, that
+    :func:`_split_rows` would give it.  Any other text (a tab, a carriage
+    return, a sign, an empty token, a comment, a row of another length, a
+    token ``int`` cannot read) returns None, and is left to
+    :func:`_split_rows`.
+    """
+    if not text.endswith("\n"):
+        return None
+    start = text.index("\n") + 1
+    head = text[:start - 1]
+    try:
+        a, b = head.split(" ")
+        k, n = int(a), int(b)
+    except ValueError:
+        return None
+    if k < 2 or f"{k} {n}" != head:
+        return None
+    vertex = _DigitTokens().__getitem__
+    step = k + 1
+    edges: list[tuple[int, ...]] = []
+    try:
+        while start < len(text):
+            end = text.find("\n", start + _CHUNK) + 1 or len(text)
+            toks = text[start:end].replace("\n", " \n ").split(" ")
+            toks.pop()  # the empty token after the chunk's last line end
+            # a line end anywhere else is left in toks, and is no key
+            ends = toks[k::step]
+            if ends.count("\n") != len(ends):
+                return None
+            del toks[k::step]
+            edges.extend(zip(*[map(vertex, toks)] * k))
+            start = end
+    except (KeyError, ValueError):
+        return None
+    return k, n, tuple(edges)
+
+
+class _DigitTokens(dict):
+    """``int(tok)`` for each token of digits, entered at its first lookup,
+    so the table holds the vertices a file names and never all of [0, n).
+    Any other token is a KeyError: ``int`` skips whitespace around a token,
+    and some whitespace breaks lines for the per-line tokenizer."""
+
+    def __missing__(self, tok: str) -> int:
+        if not tok.isdigit():
+            raise KeyError(tok)
+        self[tok] = v = int(tok)
+        return v
+
+
+def _split_rows(text: str) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """The header and rows of any text: each line that is neither blank nor
+    a comment is split at whitespace and read as integers.  Raises
+    ValueError on a token that is not an integer or a header that is not
+    two of them, and ParseError (a ValueError) when there is no header."""
+    rows = (r for r in map(str.split, text.splitlines()) if r and r[0][0] != "#")
+    header = next(rows, None)
+    if header is None:
+        raise ParseError("missing 'k n' header line")
+    k, n = map(int, header)
+    return k, n, tuple([tuple(map(int, r)) for r in rows])
 
 
 def _line_error(text: str) -> str | None:

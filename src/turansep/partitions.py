@@ -16,13 +16,16 @@ lookups.
 
 Divisibility t0 | n is required; per-trial randomness is a deterministic
 function of (seed, trial index), so trials are schedule-independent.
-``expectation_check`` re-seeds one generator per call with each trial's
-seed, which draws the same parts as ``sample_parts`` with that seed, and
-reads the draw in chunks of s, unsorted, without validating them.
+``expectation_check`` hands one generator, ``_draws``, the seed
+``f"{seed}:{i}"`` of every trial i, which draws the same parts as
+``sample_parts`` with that seed, and counts each flat draw in steps of
+s, unsorted, without validating it.
 
-Both draw through ``_draw``, which returns the picks of
-``random.Random(seed).sample(range(n), m)``.  Only ``sample``'s pool
-regime is copied, the one the crossing hosts draw in (m = 9 of 12
+``_draws`` re-seeds one ``Random`` for each seed and yields the picks of
+``random.Random(seed).sample(range(n), m)``; ``sample_parts`` takes its
+first draw.  Its per-call constants, the regime, each bound's bit length
+and the pool template, are computed once per call.  Only ``sample``'s
+pool regime is copied, the one the crossing hosts draw in (m = 9 of 12
 vertices, m = 6 of the six-part host's 46), without the per-call
 overhead of ``sample`` (a sequence check, the population list, a method
 call per index).  It calls the generator's ``getrandbits`` exactly as
@@ -30,7 +33,7 @@ CPython 3.11's ``sample`` and ``_randbelow`` do: the regime chosen by
 the same float expression, each index drawn with as many bits as its
 bound has and redrawn while out of range, then a pool swap.  The same
 bits in the same order give the same picks, so every report stays as it
-was.  Past the cutoff, in the set regime, ``_draw`` calls ``sample``.
+was.  Past the cutoff, in the set regime, ``_draws`` calls ``sample``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, factorial, log, perm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParameterError
 from .hypergraph import Hypergraph, _check_vertices
@@ -91,30 +94,38 @@ def crossing_probability(n: int, k: int, t0: int) -> Fraction:
 def sample_parts(n: int, k: int, t0: int, seed) -> BalancedParts:
     """Uniform ordered choice of k disjoint s-sets, deterministic per seed."""
     s = _validate(n, k, t0)
-    draw = _draw(random.Random(seed), n, k * s)
+    draw = next(_draws(random.Random(), n, k * s, [seed]))
     return BalancedParts(
         tuple([tuple(sorted(draw[i:i + s])) for i in range(0, k * s, s)]))
 
 
-def _draw(rng: random.Random, n: int, m: int) -> list[int]:
-    """The picks of ``rng.sample(range(n), m)``, for 0 <= m <= n, drawn
-    from the same ``getrandbits`` calls."""
+def _draws(rng: random.Random, n: int, m: int, seeds: Iterable) -> Iterator[list[int]]:
+    """For each seed, rng re-seeded with it and the picks of
+    ``rng.sample(range(n), m)``, for 0 <= m <= n, drawn from the same
+    ``getrandbits`` calls."""
     # sample's own cutoff, float log included: a pool of n indices when
     # it is smaller than a set of m; past it, sample itself
-    if n <= 21 + (4 ** ceil(log(3 * m, 4)) if m > 5 else 0):
-        getrandbits = rng.getrandbits
+    if n > 21 + (4 ** ceil(log(3 * m, 4)) if m > 5 else 0):
+        for seed in seeds:
+            rng.seed(seed)
+            yield rng.sample(range(n), m)
+        return
+    getrandbits = rng.getrandbits
+    # each index is drawn below its bound i with i's bit length
+    bounds = [(i, i.bit_length()) for i in range(n, n - m, -1)]
+    template = list(range(n))
+    for seed in seeds:
+        rng.seed(seed)
         # partial Fisher-Yates: the unpicked indices are pool[:i]
-        pool = list(range(n))
+        pool = template[:]
         picks = []
-        for i in range(n, n - m, -1):
-            bits = i.bit_length()
+        for i, bits in bounds:
             j = getrandbits(bits)
             while j >= i:
                 j = getrandbits(bits)
             picks.append(pool[j])
             pool[j] = pool[i - 1]
-        return picks
-    return rng.sample(range(n), m)
+        yield picks
 
 
 def crossing_count(h: Hypergraph, parts: BalancedParts) -> int:
@@ -128,16 +139,16 @@ def crossing_count(h: Hypergraph, parts: BalancedParts) -> int:
             f"need k={h.k} parts, got {len(parts.parts)}")
     for p in parts.parts:
         _check_vertices(h, p)
-    return _count(h.incidence, parts.parts)
+    return _count(h.incidence, [v for p in parts.parts for v in p], len(parts.parts[0]))
 
 
-def _count(rows: list[int], parts: Iterable[Sequence[int]]) -> int:
-    """Crossing edges of k valid parts, read off the host's incidence
-    rows."""
+def _count(rows: list[int], picks: Sequence[int], s: int) -> int:
+    """Crossing edges of the valid parts picks[0:s], picks[s:2s], ...,
+    read off the host's incidence rows."""
     common = -1
-    for p in parts:
+    for i in range(0, len(picks), s):
         edges = 0
-        for v in p:
+        for v in picks[i:i + s]:
             edges |= rows[v]
         common &= edges
     return common.bit_count()
@@ -154,14 +165,9 @@ def expectation_check(
     s = _validate(n, k, t0)
     exact = h.edge_count * crossing_probability(n, k, t0)
     rows = h.incidence
-    starts = range(0, k * s, s)
-    rng = random.Random()
-    values = []
-    for i in range(trials):
-        # the stream of random.Random(f"{seed}:{i}"), as in sample_parts
-        rng.seed(f"{seed}:{i}")
-        draw = _draw(rng, n, k * s)
-        values.append(_count(rows, [draw[j:j + s] for j in starts]))
+    # trial i draws as sample_parts(n, k, t0, f"{seed}:{i}") does
+    draws = _draws(random.Random(), n, k * s, (f"{seed}:{i}" for i in range(trials)))
+    values = [_count(rows, picks, s) for picks in draws]
     mean = sum(values) / trials
     if trials > 1:
         var = sum((v - mean) ** 2 for v in values) / (trials - 1)

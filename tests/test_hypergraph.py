@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from host_files import host_texts
 from oracles import check_edge_list, parse_sorting
 from turansep import hypergraph
+from turansep.constructions import SixPartParams, six_part_h
 from turansep.errors import ParameterError, ParseError
 from turansep.hypergraph import (
     FamilySpec,
@@ -258,9 +259,57 @@ def _parsed(parser, text):
 @example("1 3\n2\n0\n")
 @example("3 -1\n")
 @example("# only a comment\n")
+# near misses of serialize's layout
+@example("3 6\n0 1\n2 3 4 5\n")       # uneven rows, the right token total
+@example("3 7\n0 1 2 3 4 5 6\n")       # two rows' tokens, one line end
+@example("3 6\n0 1 2\x0c3 4 5\n")     # line breaks for splitlines only
+@example("3 6\n0 1 2\x1c3 4 5\n")
+@example("3 6\n0 1 2\u20283 4 5\n")
+@example("3 6\n0 1\x0c2\n")
+@example("3 5\n0 1\x0c 2\n")          # whitespace int() would skip
+@example("3 5\n0 1 \u20282\n")
+@example("3 5\n0 1 \u0662\n")         # a non-ASCII digit
+@example("3 5\n0 1 \u00b2\n")         # a digit int() cannot read
+@example("3 5\n0 1 2 \n")             # a trailing space
+@example("3 5\n0 1 2\n\n0 1 3\n")     # a blank line
+@example("3 5\n0 1 2\n0 1 3")          # no final newline
+@example("3 5\n0 1 2\n0 1 5\n")        # a vertex at n
+@example("3 99999999999999999999\n0 1 2\n")
+@example("3\x0c 5\n0 1 2\n")           # int() reads 3, splitlines a line
 def test_parse_matches_sorting_oracle(text):
     # the same graph, or the same error message, as sorting every file
     assert _parsed(parse, text) == _parsed(parse_sorting, text)
+
+
+def test_parse_reads_chunks_at_line_ends():
+    # a file past one chunk is read by the layout's tokenizer alone, and a
+    # fault planted after the first chunk gets the oracle's message
+    h = six_part_h(SixPartParams((7, 7, 9, 7, 7, 9)))
+    text = serialize(h)
+    first_end = text.find("\n", text.index("\n") + 1 + hypergraph._CHUNK) + 1
+    assert 0 < first_end < len(text)
+    lines = text.splitlines(keepends=True)
+    at = text.count("\n", 0, first_end) + 3
+    row = lines[at].split()
+    faults = {
+        "duplicate row": (lines[:at + 1] + lines[at:], 0),
+        "2-token row": (lines[:at] + [" ".join(row[:2]) + "\n"] + lines[at + 1:], 1),
+        "tab": (lines[:at] + ["\t".join(row) + "\n"] + lines[at + 1:], 1),
+    }
+    oracle = {name: _parsed(parse_sorting, "".join(faulty))
+              for name, (faulty, _) in faults.items()}
+    assert oracle["tab"] == h
+    split = mock.patch.object(hypergraph, "_split_rows", wraps=hypergraph._split_rows)
+    # smaller chunks too, so that a chunk cut mid-line cannot end at a
+    # line end by chance
+    for size in (hypergraph._CHUNK, 1000, 4099):
+        with split as tokenize, mock.patch.object(hypergraph, "_CHUNK", size):
+            assert parse(text) == h
+            assert tokenize.call_count == 0, size
+            for name, (faulty, splits) in faults.items():
+                tokenize.reset_mock()
+                assert _parsed(parse, "".join(faulty)) == oracle[name], (size, name)
+                assert tokenize.call_count == splits, (size, name)
 
 
 @given(hypergraphs())
@@ -271,7 +320,8 @@ def test_parse_builds_canonical_file_once(h):
         assert parse(serialize(h)) == h
         assert check.call_count == 1
         lines = serialize(h).splitlines()
-        assert parse("\n".join(lines[:1] + lines[:0:-1])) == h
+        # serialize's layout, final newline included, with rows out of order
+        assert parse("\n".join(lines[:1] + lines[:0:-1]) + "\n") == h
         assert check.call_count == (3 if h.edge_count > 1 else 2)
 
 
