@@ -354,9 +354,11 @@ def _serialized_rows(text: str) -> tuple[int, int, tuple[tuple[int, ...], ...]] 
             end = text.find("\n", start + _CHUNK) + 1 or len(text)
             toks = text[start:end].replace("\n", " \n ").split(" ")
             toks.pop()  # the empty token after the chunk's last line end
-            # a line end anywhere else is left in toks, and is no key
+            # a line end anywhere else is left in toks, and is no key; a
+            # chunk of fewer than k tokens is no row, and must miss before
+            # the zip below takes k references
             ends = toks[k::step]
-            if ends.count("\n") != len(ends):
+            if len(toks) != len(ends) * step or ends.count("\n") != len(ends):
                 return None
             del toks[k::step]
             edges.extend(zip(*[map(vertex, toks)] * k))

@@ -139,7 +139,10 @@ def crossing_count(h: Hypergraph, parts: BalancedParts) -> int:
             f"need k={h.k} parts, got {len(parts.parts)}")
     for p in parts.parts:
         _check_vertices(h, p)
-    return _count(h.incidence, [v for p in parts.parts for v in p], len(parts.parts[0]))
+    s = len(parts.parts[0])
+    if not s:
+        return 0  # empty parts meet no edge
+    return _count(h.incidence, [v for p in parts.parts for v in p], s)
 
 
 def _count(rows: list[int], picks: Sequence[int], s: int) -> int:

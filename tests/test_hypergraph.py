@@ -1,5 +1,6 @@
 """Core hypergraph type, named families, and the text format."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -276,6 +277,8 @@ def _parsed(parser, text):
 @example("3 5\n0 1 2\n0 1 5\n")        # a vertex at n
 @example("3 99999999999999999999\n0 1 2\n")
 @example("3\x0c 5\n0 1 2\n")           # int() reads 3, splitlines a line
+@example("20000000 5\n\n")             # fewer tokens than k, no edge
+@example("20000000 5\n# c\n")
 def test_parse_matches_sorting_oracle(text):
     # the same graph, or the same error message, as sorting every file
     assert _parsed(parse, text) == _parsed(parse_sorting, text)
@@ -312,6 +315,19 @@ def test_parse_reads_chunks_at_line_ends():
                 assert tokenize.call_count == splits, (size, name)
 
 
+def test_parse_edgeless_huge_uniformity_allocates_little():
+    # a chunk of fewer than k tokens misses before any row is zipped, so a
+    # blank or comment line after a huge k takes nothing of size k
+    tracemalloc.start()
+    try:
+        for text in ("20000000 5\n\n", "20000000 5\n# c\n"):
+            assert parse(text) == Hypergraph(20000000, 5, ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @given(hypergraphs())
 def test_parse_builds_canonical_file_once(h):
     # a serialized graph is validated by one constructor check; the same
@@ -320,9 +336,12 @@ def test_parse_builds_canonical_file_once(h):
         assert parse(serialize(h)) == h
         assert check.call_count == 1
         lines = serialize(h).splitlines()
-        # serialize's layout, final newline included, with rows out of order
-        assert parse("\n".join(lines[:1] + lines[:0:-1]) + "\n") == h
+        assert parse("\n".join(lines[:1] + lines[:0:-1])) == h
         assert check.call_count == (3 if h.edge_count > 1 else 2)
+        # serialize's layout, final newline kept, with rows out of order:
+        # read by the other tokenizer, and built the same number of times
+        assert parse("\n".join(lines[:1] + lines[:0:-1]) + "\n") == h
+        assert check.call_count == (5 if h.edge_count > 1 else 3)
 
 
 @given(hypergraphs())

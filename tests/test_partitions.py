@@ -100,6 +100,7 @@ def test_crossing_count_basics():
     inside = from_edges(3, 6, [(0, 1, 2)])  # two vertices in the first part
     assert crossing_count(inside, parts) == 0
     assert crossing_count(K(6, 3), parts) == 8  # s^k transversals
+    assert crossing_count(K(6, 3), BalancedParts(((), (), ()))) == 0
     with pytest.raises(ParameterError):
         crossing_count(K(6, 3), BalancedParts(((0, 1), (2, 3))))
     with pytest.raises(ParameterError):
